@@ -1,13 +1,13 @@
 //! `bench_diff` — the perf-regression gate.
 //!
-//! Compares two JSON documents (two harness `report.json`s, two
-//! manifests, or a report against a pinned `BENCH_*.json`) by
-//! flattening both to dotted-path numeric leaves and flagging every
-//! leaf whose relative delta exceeds the threshold. Wall-clock material
-//! (the `timing` section, `wall_ms`, cache-state counts) is skipped by
-//! default, so on identical builds the deterministic sections — event
-//! counts, allocation counters, merged histogram counts — must match
-//! exactly and any drift is a real behaviour change.
+//! Compares two JSON documents (two harness `report.json`s or two
+//! manifests) by flattening both to dotted-path numeric leaves and
+//! flagging every leaf whose relative delta exceeds the threshold.
+//! Wall-clock material (the `timing` section, `wall_ms`, cache-state
+//! counts) is skipped by default, so on identical builds the
+//! deterministic sections — event counts, allocation counters, merged
+//! histogram counts — must match exactly and any drift is a real
+//! behaviour change.
 //!
 //! ```text
 //! usage: bench_diff <baseline.json> <candidate.json>

@@ -1,5 +1,5 @@
 //! `bench-diff`: thresholded comparison of two JSON documents — two run
-//! reports, two manifests, or a report against a pinned `BENCH_*.json`.
+//! reports or two manifests.
 //!
 //! Both documents are flattened to dotted-path numeric leaves
 //! (`counters.wire\.dropped_packets`, `histograms.h_ns.p99_ps`, …) and

@@ -1,11 +1,11 @@
 //! A tiny order-insensitive-free (i.e. strictly order-sensitive) 64-bit
 //! fold used to fingerprint event streams and actor states.
 //!
-//! Both engines fold the exact same words in the exact same order, so a
-//! single `u64` comparison is enough to assert that a parallel run
-//! reproduced the sequential run bit-for-bit. One xor-multiply round
-//! per word with a finalizing xor-shift mix: cheap (the fold sits on
-//! the per-event hot path of the engines it fingerprints),
+//! A parallel run folds the exact same words in the exact same order as
+//! a sequential one, so a single `u64` comparison is enough to assert
+//! that it reproduced the sequential run bit-for-bit. One xor-multiply
+//! round per word with a finalizing xor-shift mix: cheap (the fold sits
+//! on the per-event hot path of the engine it fingerprints),
 //! deterministic, and sensitive to both value and position.
 //!
 //! The digest value is never pinned as a constant anywhere — it exists

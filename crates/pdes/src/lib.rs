@@ -1,74 +1,33 @@
-//! # pdes — conservative-sync parallel discrete-event engine
+//! # pdes — the supervised worker pool and digest
 //!
-//! A worker/synchronizer split for actor-style simulations, with the
-//! single-threaded engine kept as the *differential oracle*:
+//! The machinery under `rdma-verbs`' conservative parallel event engine
+//! (`Simulation::run_until_workers`):
 //!
-//! - [`Actor`] — one simulated entity (a host, a NIC); communicates
-//!   only through timestamped messages.
-//! - [`EventKey`] — the deterministic merge order: `(timestamp, source
-//!   actor, per-source sequence)`. Total, engine-independent, and the
-//!   basis of every digest.
-//! - [`SequentialEngine`] — one global heap; defines the canonical
-//!   order.
-//! - [`ParallelEngine`] — conservative synchronization: with lookahead
-//!   `L` (the minimum cross-actor latency, e.g. PCIe + fiber), all
-//!   events in `[t0, t0 + L)` are independent across actors and run in
-//!   parallel on sharded workers; self-sends are inlined, cross-sends
-//!   are merged between windows in key order.
-//! - [`pool::scoped`] — the safe ownership ping-pong worker pool both
-//!   this crate and `rdma-verbs::Simulation::run_until_workers` use.
-//! - [`Digest64`] — the order/state fingerprint the differential suite
-//!   compares across engines and worker counts.
+//! - [`pool::scoped_supervised`] — the safe ownership ping-pong worker
+//!   pool: batches of owned jobs out, [`JobOutcome`]s back in
+//!   submission order, with worker panics and stalls caught,
+//!   quarantined and (per [`PoolPolicy`]) respawned.
+//! - [`Digest64`] — the order-sensitive fingerprint the engine folds
+//!   every executed event into, so runs compare across worker counts.
 //!
 //! The crate also hosts the process-wide *ambient worker count*
 //! ([`set_ambient_workers`] / [`ambient_workers`]) that the harness
 //! `--workers N` flag sets and the cluster scenarios read — threading
 //! the knob without widening every `Experiment::run` signature (and
 //! keeping it out of cache keys by construction, exactly like
-//! `--threads`).
-//!
-//! ```
-//! use pdes::{Actor, Digest64, Outbox, ParallelEngine, SequentialEngine};
-//! use sim_core::{SimDuration, SimTime};
-//!
-//! struct Counter(u64);
-//! impl Actor for Counter {
-//!     type Msg = u64;
-//!     fn on_event(&mut self, _now: SimTime, msg: u64, _out: &mut Outbox<u64>) {
-//!         self.0 = self.0.wrapping_mul(31).wrapping_add(msg);
-//!     }
-//!     fn state_digest(&self, d: &mut Digest64) {
-//!         d.fold(self.0);
-//!     }
-//! }
-//!
-//! let lookahead = SimDuration::from_nanos(100);
-//! let mut seq = SequentialEngine::new(vec![Counter(0), Counter(0)], lookahead);
-//! let mut par = ParallelEngine::new(vec![Counter(0), Counter(0)], lookahead, 2);
-//! seq.inject(0, SimTime::from_nanos(5), 7);
-//! par.inject(0, SimTime::from_nanos(5), 7);
-//! seq.run_until(SimTime::from_micros(1));
-//! par.run_until(SimTime::from_micros(1));
-//! assert_eq!(seq.order_digest(), par.order_digest());
-//! assert_eq!(seq.state_digest(), par.state_digest());
-//! ```
+//! `--threads`) — and its supervision twin
+//! ([`set_ambient_supervision`] / [`ambient_supervision`]).
 
 #![warn(missing_docs)]
 
-mod actor;
 mod digest;
-mod parallel;
 pub mod pool;
-mod sequential;
 
-pub use actor::{Actor, EventKey, Outbox, INJECTED_SRC};
 pub use digest::Digest64;
-pub use parallel::{ParallelEngine, SupervisorReport};
 pub use pool::{
     ExecFaultHook, FaultCause, HealthSnapshot, InjectedExecFault, JobOutcome, PoolHealth,
     PoolPolicy, WorkerFault,
 };
-pub use sequential::SequentialEngine;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

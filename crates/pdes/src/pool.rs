@@ -7,19 +7,13 @@
 //! Rust's ownership rules then prove data-race freedom without locks
 //! around the simulation state itself.
 //!
-//! Two entry points share one implementation:
-//!
-//! - [`scoped`] — the simple face: a batch in, results out, and any
-//!   worker panic re-raised on the coordinator **with context** (worker
-//!   index, job index, round, payload) instead of the old opaque
-//!   `recv()` failure. Crucially, a panicking worker can no longer
-//!   deadlock the round: workers run jobs behind `catch_unwind`, so
-//!   every submitted job always produces exactly one reply.
-//! - [`scoped_supervised`] — the robust face used by hours-long sweeps:
-//!   per-job [`JobOutcome`]s instead of panics, worker quarantine and
-//!   bounded respawn ([`PoolPolicy`]), stall detection via a pool-wide
-//!   reply heartbeat, seed-deterministic execution-fault injection
-//!   ([`ExecFaultHook`]), and live [`PoolHealth`] counters.
+//! [`scoped_supervised`] is the one entry point: per-job
+//! [`JobOutcome`]s instead of panics, worker quarantine and bounded
+//! respawn ([`PoolPolicy`]), stall detection via a pool-wide reply
+//! heartbeat, seed-deterministic execution-fault injection
+//! ([`ExecFaultHook`]), and live [`PoolHealth`] counters. Workers run
+//! jobs behind `catch_unwind`, so a panicking worker can never deadlock
+//! a round: every submitted job always produces exactly one reply.
 //!
 //! Determinism note: job→worker assignment is demand-driven and hence
 //! scheduling-dependent, but results are always returned in job
@@ -96,7 +90,7 @@ pub struct WorkerFault {
     /// Index of the job within its round (submission order).
     pub job: usize,
     /// 1-based round counter (one round per `run_round` call — for the
-    /// PDES engines, one round per lookahead window).
+    /// parallel event engine, one round per conservative window).
     pub round: u64,
     /// What kind of failure this was.
     pub cause: FaultCause,
@@ -497,80 +491,60 @@ where
     })
 }
 
-/// Runs `drive` with a `run_round` function that executes a batch of
-/// jobs across `workers` threads and returns the results **in job
-/// submission order** (the deterministic merge point — result order
-/// never depends on thread scheduling).
-///
-/// `work(worker_idx, job)` runs on one of the pool threads. Workers
-/// live for the whole call, so per-round thread spawn cost is zero.
-///
-/// # Panics
-///
-/// A panicking worker no longer deadlocks or poisons the round
-/// silently: the panic is caught on the worker, and the coordinator
-/// re-raises it with context — worker index, job index, round, and the
-/// original payload (see [`WorkerFault`]'s `Display`).
-pub fn scoped<In, Out, W, F, R>(workers: usize, work: W, drive: F) -> R
-where
-    In: Send,
-    Out: Send,
-    W: Fn(usize, In) -> Out + Sync,
-    F: FnOnce(&mut dyn FnMut(Vec<In>) -> Vec<Out>) -> R,
-{
-    scoped_supervised(workers, PoolPolicy::default(), work, |run, _health| {
-        let mut plain = |jobs: Vec<In>| -> Vec<Out> {
-            run(jobs)
-                .into_iter()
-                .map(|outcome| match outcome {
-                    JobOutcome::Done(out) => out,
-                    JobOutcome::Returned(_, fault) | JobOutcome::Lost(fault) => {
-                        panic!("{fault}")
-                    }
-                })
-                .collect()
-        };
-        drive(&mut plain)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Unwraps a fault-free round.
+    fn done<In, Out>(outcomes: Vec<JobOutcome<In, Out>>) -> Vec<Out> {
+        outcomes
+            .into_iter()
+            .map(|o| match o {
+                JobOutcome::Done(out) => out,
+                JobOutcome::Returned(_, fault) | JobOutcome::Lost(fault) => panic!("{fault}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn results_in_submission_order() {
-        let out = scoped(
+        let (a, b) = scoped_supervised(
             4,
+            PoolPolicy::default(),
             |_, x: u64| x * 2,
-            |run| {
-                let a = run((0..100).collect());
-                let b = run((100..110).collect());
-                (a, b)
+            |run, _| {
+                (
+                    done(run((0..100).collect())),
+                    done(run((100..110).collect())),
+                )
             },
         );
-        assert_eq!(out.0, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(out.1, (100..110).map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(a, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(b, (100..110).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_worker_ok() {
-        let sum: u64 = scoped(1, |_, x: u64| x + 1, |run| run(vec![1, 2, 3]))
-            .into_iter()
-            .sum();
-        assert_eq!(sum, 9);
+        let out = scoped_supervised(
+            1,
+            PoolPolicy::default(),
+            |_, x: u64| x + 1,
+            |run, _| done(run(vec![1, 2, 3])),
+        );
+        assert_eq!(out.into_iter().sum::<u64>(), 9);
     }
 
     #[test]
     fn ownership_ping_pong() {
-        // Moves a Vec out and back, mutated — the pattern the engines use.
-        let v = scoped(
+        // Moves a Vec out and back, mutated — the pattern the engine uses.
+        let v = scoped_supervised(
             2,
+            PoolPolicy::default(),
             |_, mut v: Vec<u64>| {
                 v.push(99);
                 v
             },
-            |run| run(vec![vec![1], vec![2]]),
+            |run, _| done(run(vec![vec![1], vec![2]])),
         );
         assert_eq!(v, vec![vec![1, 99], vec![2, 99]]);
     }
@@ -580,23 +554,34 @@ mod tests {
         // Pre-supervision this deadlocked with workers > 1: the
         // panicking worker died without replying and the other worker
         // kept the done channel open, so recv() blocked forever.
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            scoped(
-                2,
-                |_, x: u64| {
-                    if x == 3 {
-                        panic!("boom on {x}");
-                    }
-                    x
-                },
-                |run| run((0..8).collect()),
+        let outcomes = scoped_supervised(
+            2,
+            PoolPolicy::default(),
+            |_, x: u64| {
+                if x == 3 {
+                    panic!("boom on {x}");
+                }
+                x
+            },
+            |run, _| run((0..8).collect()),
+        );
+        let lost: Vec<&WorkerFault> = outcomes
+            .iter()
+            .filter_map(|o| match o {
+                JobOutcome::Lost(fault) => Some(fault),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lost.len(), 1, "exactly the panicking job is lost");
+        let fault = lost[0];
+        assert!(fault.worker < 2, "{fault:?}");
+        assert_eq!(
+            fault.to_string(),
+            format!(
+                "pool worker {} panicked on job 3 of round 1: boom on 3",
+                fault.worker
             )
-        }))
-        .expect_err("worker panic must propagate");
-        let msg = panic_payload_message(err.as_ref());
-        assert!(msg.contains("pool worker"), "got: {msg}");
-        assert!(msg.contains("job 3 of round 1"), "got: {msg}");
-        assert!(msg.contains("boom on 3"), "got: {msg}");
+        );
     }
 
     #[test]

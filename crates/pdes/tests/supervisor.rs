@@ -1,81 +1,91 @@
-//! Supervisor determinism suite: `run_until_supervised` must reproduce
-//! the sequential oracle bit-for-bit — order digest, state digest,
-//! event count — under *any* injected worker-fault schedule (panics,
-//! stalls, slow starts) at every worker count. The healing machinery
-//! (quarantine, respawn, inline window replay) is allowed to change
-//! wall-clock behavior only, never results.
+//! Supervisor determinism suite: a multi-round computation driven
+//! through `pool::scoped_supervised` must reproduce the fault-free
+//! sequential result bit-for-bit under *any* injected worker-fault
+//! schedule (panics, stalls, slow starts) at every worker count. The
+//! coordinator replays every returned job inline with the same pure job
+//! function, so the healing machinery (quarantine, respawn, inline
+//! replay) may change wall-clock behavior only, never results.
 
-use pdes::{
-    Actor, Digest64, InjectedExecFault, Outbox, ParallelEngine, PoolPolicy, SequentialEngine,
-};
+use pdes::{pool, Digest64, HealthSnapshot, InjectedExecFault, JobOutcome, PoolPolicy};
 use proptest::prelude::*;
-use sim_core::{derive_seed, SimDuration, SimRng, SimTime};
+use sim_core::derive_seed;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Same relay workload as the differential suite: stateful actors
-/// forwarding derived messages to pseudo-random peers.
-struct Relay {
-    idx: u32,
-    peers: u32,
-    state: u64,
-    rng: SimRng,
-    lookahead: SimDuration,
-    budget: u32,
+/// One job: a shard's state and the round it runs in.
+type Job = (u64, u64);
+
+/// The pure job function. A worker and the coordinator replaying a
+/// returned job compute the same output from the same job.
+fn step((state, round): Job) -> u64 {
+    let mut d = Digest64::new();
+    d.fold(state);
+    d.fold(round);
+    d.value()
 }
 
-impl Actor for Relay {
-    type Msg = u64;
-
-    fn on_event(&mut self, _now: SimTime, msg: u64, out: &mut Outbox<u64>) {
-        self.state = self
-            .state
-            .rotate_left(7)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(msg);
-        if self.budget == 0 {
-            return;
-        }
-        self.budget -= 1;
-        let fan = self.rng.next_u64() % 3;
-        for _ in 0..fan {
-            let dst = (self.rng.next_u64() % u64::from(self.peers)) as u32;
-            let extra = self.rng.next_u64() % 2_000_000;
-            let delay = self.lookahead + SimDuration::from_picos(extra);
-            out.send(dst, delay, self.state ^ u64::from(dst));
-        }
-        if self.rng.chance(0.4) {
-            let delay = SimDuration::from_picos(self.rng.next_u64() % 500_000);
-            out.send(self.idx, delay, self.state.wrapping_add(1));
-        }
-    }
-
-    fn state_digest(&self, d: &mut Digest64) {
-        d.fold(self.state);
-        d.fold(u64::from(self.budget));
-    }
-}
-
-fn build(seed: u64, actors: u32, lookahead: SimDuration, budget: u32) -> Vec<Relay> {
-    (0..actors)
-        .map(|idx| Relay {
-            idx,
-            peers: actors,
-            state: derive_seed(seed, "relay-state") ^ u64::from(idx),
-            rng: SimRng::derive(seed, &format!("relay-{idx}")),
-            lookahead,
-            budget,
-        })
+fn initial(seed: u64, shards: usize) -> Vec<u64> {
+    (0..shards)
+        .map(|i| derive_seed(seed, &format!("shard-{i}")))
         .collect()
 }
 
-fn inject_all(seed: u64, actors: u32, stimuli: u32, inject: &mut dyn FnMut(u32, SimTime, u64)) {
-    let mut rng = SimRng::derive(seed, "inject");
-    for i in 0..stimuli {
-        let dst = (rng.next_u64() % u64::from(actors)) as u32;
-        let at = SimTime::from_picos(rng.next_u64() % 5_000_000);
-        inject(dst, at, u64::from(i) << 32 | u64::from(dst));
+/// Between rounds each shard absorbs its right neighbour's output, so a
+/// misplaced or dropped result perturbs every later round.
+fn merge(outs: &[u64]) -> Vec<u64> {
+    let n = outs.len();
+    (0..n)
+        .map(|i| outs[i].rotate_left(7) ^ outs[(i + 1) % n])
+        .collect()
+}
+
+/// The fault-free sequential result.
+fn oracle(seed: u64, shards: usize, rounds: u64) -> Vec<u64> {
+    let mut states = initial(seed, shards);
+    for round in 0..rounds {
+        let outs: Vec<u64> = states.iter().map(|&s| step((s, round))).collect();
+        states = merge(&outs);
     }
+    states
+}
+
+struct Run {
+    states: Vec<u64>,
+    replayed: u64,
+    health: HealthSnapshot,
+}
+
+/// Runs `rounds` rounds of one job per worker under `policy`.
+fn supervised(seed: u64, workers: usize, rounds: u64, policy: PoolPolicy) -> Run {
+    pool::scoped_supervised(
+        workers,
+        policy,
+        |_, job| step(job),
+        |run, health| {
+            let mut states = initial(seed, workers);
+            let mut replayed = 0;
+            for round in 0..rounds {
+                let jobs = states.iter().map(|&s| (s, round)).collect();
+                let outs: Vec<u64> = run(jobs)
+                    .into_iter()
+                    .map(|outcome| match outcome {
+                        JobOutcome::Done(out) => out,
+                        JobOutcome::Returned(job, _fault) => {
+                            replayed += 1;
+                            step(job)
+                        }
+                        JobOutcome::Lost(fault) => panic!("job lost: {fault}"),
+                    })
+                    .collect();
+                states = merge(&outs);
+            }
+            Run {
+                states,
+                replayed,
+                health: health.snapshot(),
+            }
+        },
+    )
 }
 
 /// A seed-derived fault schedule: per `(worker, round)` the hook draws
@@ -102,7 +112,7 @@ fn fault_hook(seed: u64, rate_pct: u64) -> pdes::ExecFaultHook {
 fn policy(seed: u64, rate_pct: u64) -> PoolPolicy {
     PoolPolicy {
         // Short enough that every injected 5 ms stall trips the
-        // watchdog; long enough that healthy sub-millisecond windows
+        // watchdog; long enough that healthy sub-millisecond rounds
         // never do.
         stall_timeout: Some(Duration::from_millis(2)),
         max_respawns: 64,
@@ -110,155 +120,68 @@ fn policy(seed: u64, rate_pct: u64) -> PoolPolicy {
     }
 }
 
-/// Oracle observables for one configuration.
-fn oracle(seed: u64, actors: u32, stimuli: u32, budget: u32) -> (u64, u64, u64) {
-    let lookahead = SimDuration::from_nanos(700);
-    let mut seq = SequentialEngine::new(build(seed, actors, lookahead, budget), lookahead);
-    inject_all(seed, actors, stimuli, &mut |d, at, m| seq.inject(d, at, m));
-    let n = seq.run_until(SimTime::from_micros(200));
-    (n, seq.order_digest(), seq.state_digest())
-}
-
-fn assert_supervised_equivalent(seed: u64, actors: u32, stimuli: u32, budget: u32, rate_pct: u64) {
-    let lookahead = SimDuration::from_nanos(700);
-    let (oracle_n, oracle_order, oracle_state) = oracle(seed, actors, stimuli, budget);
-    for workers in [2usize, 4, 8] {
-        let mut par =
-            ParallelEngine::new(build(seed, actors, lookahead, budget), lookahead, workers);
-        inject_all(seed, actors, stimuli, &mut |d, at, m| par.inject(d, at, m));
-        let report = par.run_until_supervised(SimTime::from_micros(200), policy(seed, rate_pct));
-        assert_eq!(
-            report.events, oracle_n,
-            "event counts diverged (workers={workers})"
-        );
-        assert_eq!(
-            par.order_digest(),
-            oracle_order,
-            "order digests diverged under faults (workers={workers})"
-        );
-        assert_eq!(
-            par.state_digest(),
-            oracle_state,
-            "state digests diverged under faults (workers={workers})"
-        );
-        // Every panic-returned window must have been replayed, and the
-        // ledger must agree with the pool's own panic counter.
-        assert_eq!(
-            report.replayed_windows, report.health.panics,
-            "replay ledger out of step with panic count (workers={workers})"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random workloads under a ~25% per-(worker, round) fault rate:
-    /// digests must match the fault-free sequential oracle exactly.
+    /// Random schedules under a ~25% per-(worker, round) fault rate:
+    /// results must match the fault-free oracle exactly, and every
+    /// panic-returned job must have been replayed.
     #[test]
-    fn faulted_supervised_runs_match_oracle(
-        seed in any::<u64>(),
-        actors in 2u32..16,
-        stimuli in 4u32..24,
-        budget in 4u32..48,
-    ) {
-        assert_supervised_equivalent(seed, actors, stimuli, budget, 25);
+    fn faulted_supervised_runs_match_oracle(seed in any::<u64>(), rounds in 4u64..48) {
+        for workers in [2usize, 4, 8] {
+            let run = supervised(seed, workers, rounds, policy(seed, 25));
+            prop_assert_eq!(
+                &run.states,
+                &oracle(seed, workers, rounds),
+                "results diverged under faults (workers={})",
+                workers
+            );
+            prop_assert_eq!(
+                run.replayed,
+                run.health.panics,
+                "replay ledger out of step with panic count (workers={})",
+                workers
+            );
+        }
     }
 }
 
 /// A guaranteed-dense panic schedule: every worker faults on every
-/// third round. The run must both heal (digests match) and *record*
-/// the healing (non-zero panic and replay counters).
+/// third round. The run must both heal (results match) and *record*
+/// the healing (non-zero panic, replay and respawn counters).
 #[test]
 fn dense_panic_schedule_heals_and_is_recorded() {
-    let lookahead = SimDuration::from_nanos(700);
-    let (oracle_n, oracle_order, oracle_state) = oracle(99, 8, 16, 32);
     let hook: pdes::ExecFaultHook =
         Arc::new(|_worker, round| (round % 3 == 1).then_some(InjectedExecFault::Panic));
-    let mut par = ParallelEngine::new(build(99, 8, lookahead, 32), lookahead, 4);
-    inject_all(99, 8, 16, &mut |d, at, m| par.inject(d, at, m));
-    let report = par.run_until_supervised(
-        SimTime::from_micros(200),
+    let run = supervised(
+        99,
+        4,
+        24,
         PoolPolicy {
             stall_timeout: Some(Duration::from_millis(50)),
             max_respawns: 64,
             fault_hook: Some(hook),
         },
     );
-    assert_eq!(report.events, oracle_n);
-    assert_eq!(par.order_digest(), oracle_order);
-    assert_eq!(par.state_digest(), oracle_state);
-    assert!(report.health.panics > 0, "schedule never fired: {report:?}");
-    assert_eq!(report.replayed_windows, report.health.panics);
+    assert_eq!(run.states, oracle(99, 4, 24));
+    assert!(run.health.panics > 0, "schedule never fired");
+    assert_eq!(run.replayed, run.health.panics);
     assert!(
-        report.health.respawns > 0,
-        "panicked workers were never respawned: {report:?}"
+        run.health.respawns > 0,
+        "panicked workers were never respawned"
     );
 }
 
-/// Stall quarantine: a worker that goes silent past the watchdog is
-/// quarantined and respawned, its late result is still folded in, and
-/// the digests never notice.
-#[test]
-fn stalled_workers_are_quarantined_without_divergence() {
-    let lookahead = SimDuration::from_nanos(700);
-    let (oracle_n, oracle_order, oracle_state) = oracle(7, 6, 12, 24);
-    let hook: pdes::ExecFaultHook = Arc::new(|worker, round| {
-        (worker == 0 && round == 2).then_some(InjectedExecFault::Stall(Duration::from_millis(40)))
-    });
-    let mut par = ParallelEngine::new(build(7, 6, lookahead, 24), lookahead, 4);
-    inject_all(7, 6, 12, &mut |d, at, m| par.inject(d, at, m));
-    let report = par.run_until_supervised(
-        SimTime::from_micros(200),
-        PoolPolicy {
-            stall_timeout: Some(Duration::from_millis(5)),
-            max_respawns: 8,
-            fault_hook: Some(hook),
-        },
-    );
-    assert_eq!(report.events, oracle_n);
-    assert_eq!(par.order_digest(), oracle_order);
-    assert_eq!(par.state_digest(), oracle_state);
-}
-
-/// Respawn-budget exhaustion degrades to inline coordinator execution —
-/// slower, never wrong.
-#[test]
-fn respawn_exhaustion_falls_back_inline() {
-    let lookahead = SimDuration::from_nanos(700);
-    let (oracle_n, oracle_order, oracle_state) = oracle(13, 5, 10, 20);
-    // Every round, every worker: the budget drains almost immediately.
-    let hook: pdes::ExecFaultHook = Arc::new(|_w, _round| Some(InjectedExecFault::Panic));
-    let mut par = ParallelEngine::new(build(13, 5, lookahead, 20), lookahead, 3);
-    inject_all(13, 5, 10, &mut |d, at, m| par.inject(d, at, m));
-    let report = par.run_until_supervised(
-        SimTime::from_micros(200),
-        PoolPolicy {
-            stall_timeout: Some(Duration::from_millis(50)),
-            max_respawns: 2,
-            fault_hook: Some(hook),
-        },
-    );
-    assert_eq!(report.events, oracle_n);
-    assert_eq!(par.order_digest(), oracle_order);
-    assert_eq!(par.state_digest(), oracle_state);
-    assert!(
-        report.health.quarantined > 0,
-        "no slot ever exhausted its budget: {report:?}"
-    );
-}
-
-/// Seed-determinism of the schedule itself: the same hook seed produces
-/// the same health counters run over run (the schedule is a pure
-/// function of `(seed, worker, round)`, not of thread timing).
+/// Seed-determinism of the schedule itself: the same hook produces the
+/// same results and health counters run over run (the schedule is a
+/// pure function of `(worker, round)`, not of thread timing).
 #[test]
 fn fault_schedule_is_seed_deterministic() {
-    let lookahead = SimDuration::from_nanos(700);
     let run = || {
-        let mut par = ParallelEngine::new(build(21, 6, lookahead, 24), lookahead, 4);
-        inject_all(21, 6, 12, &mut |d, at, m| par.inject(d, at, m));
-        let report = par.run_until_supervised(
-            SimTime::from_micros(200),
+        let run = supervised(
+            21,
+            4,
+            24,
             PoolPolicy {
                 // No stall injection and a generous watchdog: the only
                 // nondeterministic counter source (wall-clock timeouts)
@@ -270,7 +193,7 @@ fn fault_schedule_is_seed_deterministic() {
                 })),
             },
         );
-        (par.order_digest(), par.state_digest(), report.health.panics)
+        (run.states, run.health.panics)
     };
     let a = run();
     let b = run();

@@ -813,7 +813,6 @@ impl Simulation {
             _ => None,
         };
         let mut replayed = 0u64;
-        let mut sup_health = None;
         let sim = &mut *self;
         let work = |_worker: usize, jobs: Vec<GroupWork>| -> Vec<GroupOut> {
             jobs.into_iter()
@@ -875,43 +874,38 @@ impl Simulation {
                 }
             }
         };
-        match supervision {
-            None => pdes::pool::scoped(threads, work, |run| drive_loop(run)),
-            Some(policy) => {
-                // Inline replay of a returned batch runs the exact same
-                // pure `process_group` a healthy worker would have run —
-                // the coordinator *is* the sequential oracle, so digests
-                // stay bit-identical through any fault schedule.
-                let qp_owner_replay = qp_owner.clone();
-                let snap = pdes::pool::scoped_supervised(threads, policy, work, |run, health| {
-                    let mut adapter = |batches: Vec<Vec<GroupWork>>| -> Vec<Vec<GroupOut>> {
-                        run(batches)
-                            .into_iter()
-                            .map(|outcome| match outcome {
-                                pdes::JobOutcome::Done(outs) => outs,
-                                pdes::JobOutcome::Returned(jobs, _fault) => {
-                                    replayed += jobs.len() as u64;
-                                    jobs.into_iter()
-                                        .map(|j| process_group(j, &qp_owner_replay))
-                                        .collect()
-                                }
-                                pdes::JobOutcome::Lost(fault) => {
-                                    panic!("rdma-verbs worker batch unrecoverable: {fault}")
-                                }
-                            })
-                            .collect()
-                    };
-                    drive_loop(&mut adapter);
-                    health.snapshot()
-                });
-                sup_health = Some(snap);
-            }
-        }
+        // Inline replay of a returned batch runs the exact same pure
+        // `process_group` a healthy worker would have run — the
+        // coordinator *is* the sequential oracle, so digests stay
+        // bit-identical through any fault schedule. Without an ambient
+        // policy the default one never returns a job.
+        let policy = supervision.clone().unwrap_or_default();
+        let snap = pdes::pool::scoped_supervised(threads, policy, work, |run, health| {
+            let mut adapter = |batches: Vec<Vec<GroupWork>>| -> Vec<Vec<GroupOut>> {
+                run(batches)
+                    .into_iter()
+                    .map(|outcome| match outcome {
+                        pdes::JobOutcome::Done(outs) => outs,
+                        pdes::JobOutcome::Returned(jobs, _fault) => {
+                            replayed += jobs.len() as u64;
+                            jobs.into_iter()
+                                .map(|j| process_group(j, &qp_owner))
+                                .collect()
+                        }
+                        pdes::JobOutcome::Lost(fault) => {
+                            panic!("rdma-verbs worker batch unrecoverable: {fault}")
+                        }
+                    })
+                    .collect()
+            };
+            drive_loop(&mut adapter);
+            health.snapshot()
+        });
         if let Some(t) = saved_threshold {
             self.world.ship_threshold = t;
         }
-        self.supervisor = sup_health.map(|health| super::SupervisorStats {
-            health,
+        self.supervisor = supervision.map(|_| super::SupervisorStats {
+            health: snap,
             replayed_jobs: replayed,
         });
         self.world.flush_lanes();

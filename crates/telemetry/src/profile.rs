@@ -9,8 +9,9 @@
 //! `Relaxed` ordering. When disabled, [`enter`] is a single load + branch
 //! returning an inert guard — no clock read, no thread-local access, no
 //! allocation — so instrumented hot loops cost one predictable branch
-//! (BENCH_observability.json records the nic_storm delta as within
-//! run-to-run noise). When enabled, spans read raw TSC ticks (`rdtsc`
+//! (the `nic_storm` workload of the `perf` benchmark, named in
+//! `BENCHMARK.json`, times that instrumented loop with the profiler
+//! off). When enabled, spans read raw TSC ticks (`rdtsc`
 //! on x86_64) instead of `clock_gettime`, and tick→ns conversion is
 //! deferred to [`snapshot`], keeping the armed cost per span to roughly
 //! two counter reads.
