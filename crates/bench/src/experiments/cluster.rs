@@ -9,8 +9,9 @@
 //! axis varies load, never geometry, so the quiet baseline is directly
 //! comparable.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use ragnar_core::covert::sync::{async_decode, strip_preamble_fuzzy};
 use ragnar_core::covert::{binary_entropy, count_errors, parse_bits, random_bits};
@@ -29,12 +30,10 @@ use crate::{fmt_bps, fmt_pct, fmt_table};
 const LOCAL_BUF: u64 = 0x20_0000;
 
 /// Completion-latency samples (ns) shared between apps and the driver.
-/// `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>` because tenants are
-/// *send apps*: the PDES engine ships them to worker threads.
-type Samples = Arc<Mutex<Vec<f64>>>;
+type Samples = Rc<RefCell<Vec<f64>>>;
 
 /// `(time, latency-ns)` samples for windowed covert decoding.
-type TimedSamples = Arc<Mutex<Vec<(SimTime, f64)>>>;
+type TimedSamples = Rc<RefCell<Vec<(SimTime, f64)>>>;
 
 /// One open-loop tenant: posts a fixed-shape verb on its QPs (round-
 /// robin) at times dictated by its private arrival process, and records
@@ -54,7 +53,7 @@ struct Tenant {
     measure_from: SimTime,
     latencies: Option<Samples>,
     timed: Option<TimedSamples>,
-    overruns: Arc<Mutex<u64>>,
+    overruns: Rc<RefCell<u64>>,
     seq: u64,
 }
 
@@ -78,7 +77,7 @@ impl App for Tenant {
             WorkRequest::read(self.seq, LOCAL_BUF, addr, self.remote.key, self.msg_len)
         };
         if ctx.post_send(qp, wr).is_err() {
-            *self.overruns.lock().unwrap() += 1;
+            *self.overruns.borrow_mut() += 1;
         }
         self.gen.advance(self.fixed_gap);
         let due = self.gen.next_at();
@@ -92,7 +91,7 @@ impl App for Tenant {
         let lat_ns = cqe.latency().as_nanos_f64();
         if let Some(samples) = &self.latencies {
             if cqe.completed_at >= self.measure_from && cqe.completed_at <= self.stop_at {
-                samples.lock().unwrap().push(lat_ns);
+                samples.borrow_mut().push(lat_ns);
             }
         }
         if let Some(timed) = &self.timed {
@@ -101,7 +100,7 @@ impl App for Tenant {
             // cancel: a probe posted during nominal bit window k samples
             // the remote row-buffer state the sender set for bit k, no
             // matter how long either flight takes.
-            timed.lock().unwrap().push((cqe.posted_at, lat_ns));
+            timed.borrow_mut().push((cqe.posted_at, lat_ns));
         }
     }
 }
@@ -205,9 +204,9 @@ impl Experiment for NoisyNeighbor {
         }
 
         let pop = Population::sampled(hosts, VICTIMS, ATTACKER_HOSTS, placement_seed);
-        let victim_lat: Samples = Arc::new(Mutex::new(Vec::new()));
-        let bystander_lat: Samples = Arc::new(Mutex::new(Vec::new()));
-        let overruns = Arc::new(Mutex::new(0u64));
+        let victim_lat: Samples = Rc::new(RefCell::new(Vec::new()));
+        let bystander_lat: Samples = Rc::new(RefCell::new(Vec::new()));
+        let overruns = Rc::new(RefCell::new(0u64));
         // Each tenant targets the host half the fabric away, so flows
         // cross leaves and contend on the oversubscribed trunks.
         let partner = |h: HostId| HostId((h.0 + hosts / 2) % hosts);
@@ -230,7 +229,7 @@ impl Experiment for NoisyNeighbor {
                 let (qp, _) = sim.connect(host, pd, peer, pd_peer, ConnectOptions::default());
                 qps.push(qp);
             }
-            let app = sim.add_send_app(Box::new(Tenant {
+            let app = sim.add_app(Box::new(Tenant {
                 qps: qps.clone(),
                 next_qp: 0,
                 gen,
@@ -243,17 +242,12 @@ impl Experiment for NoisyNeighbor {
                 measure_from: WARMUP,
                 latencies,
                 timed: None,
-                overruns: Arc::clone(&overruns),
+                overruns: Rc::clone(&overruns),
                 seq: 0,
             }));
             for qp in qps {
                 sim.own_qp(app, qp);
             }
-            // Declare the tenant's home host only: send-app callbacks run
-            // worker-side, so the PDES engine can place each tenant in its
-            // own single-host partition group and the incast fan-in no
-            // longer serializes every attacker behind one group.
-            sim.set_app_scope(app, &[host]);
         };
 
         // Victims: constant 512 B cross-fabric reads, one per microsecond.
@@ -268,7 +262,7 @@ impl Experiment for NoisyNeighbor {
                 Some(probe_gap),
                 false,
                 512,
-                Some(Arc::clone(&victim_lat)),
+                Some(Rc::clone(&victim_lat)),
             );
         }
         // Attackers: the QP budget spread over the attacker hosts, each
@@ -325,14 +319,14 @@ impl Experiment for NoisyNeighbor {
                 None,
                 true,
                 1024,
-                Some(Arc::clone(&bystander_lat)),
+                Some(Rc::clone(&bystander_lat)),
             );
         }
 
-        sim.run_until_workers(HORIZON, pdes::ambient_workers());
+        sim.run_until(HORIZON);
 
-        let victims = victim_lat.lock().unwrap();
-        let bystanders = bystander_lat.lock().unwrap();
+        let victims = victim_lat.borrow();
+        let bystanders = bystander_lat.borrow();
         if victims.is_empty() {
             return Err("no victim completions inside the measure window".into());
         }
@@ -344,7 +338,7 @@ impl Experiment for NoisyNeighbor {
             pctl(&bystanders, 0.99)
         };
         let drops = sim.dropped_packets();
-        let overrun_count = *overruns.lock().unwrap();
+        let overrun_count = *overruns.borrow();
         let pauses: u64 = (0..n_links)
             .filter_map(|i| sim.link_counters(LinkId(i as u32)))
             .map(|c| c.pauses_taken)
@@ -516,8 +510,8 @@ impl Experiment for BankruptCovert {
 
         let pd_server = sim.alloc_pd(server);
         let mr = sim.register_mr(server, pd_server, 2 << 20, AccessFlags::remote_all());
-        let overruns = Arc::new(Mutex::new(0u64));
-        let samples: TimedSamples = Arc::new(Mutex::new(Vec::new()));
+        let overruns = Rc::new(RefCell::new(0u64));
+        let samples: TimedSamples = Rc::new(RefCell::new(Vec::new()));
 
         // Receiver: constant-rate 8 B probes of row 0, one every 100 ns —
         // just above the TPU's row-miss service time. During a hot window
@@ -538,7 +532,7 @@ impl Experiment for BankruptCovert {
             ConnectOptions::default(),
         );
         let probe_gap = SimDuration::from_nanos(100);
-        let rx_app = sim.add_send_app(Box::new(Tenant {
+        let rx_app = sim.add_app(Box::new(Tenant {
             qps: vec![rx_qp],
             next_qp: 0,
             gen: OpenLoopGen::constant(SimTime::from_micros(10), probe_gap),
@@ -550,12 +544,11 @@ impl Experiment for BankruptCovert {
             stop_at: BANKRUPT_START + total + period,
             measure_from: SimTime::ZERO,
             latencies: None,
-            timed: Some(Arc::clone(&samples)),
-            overruns: Arc::clone(&overruns),
+            timed: Some(Rc::clone(&samples)),
+            overruns: Rc::clone(&overruns),
             seq: 0,
         }));
         sim.own_qp(rx_app, rx_qp);
-        sim.set_app_scope(rx_app, &[receiver]);
 
         // Sender: hammers the bit-selected row with 64 B reads at the
         // same cadence as the probes. The load is identical for both
@@ -563,7 +556,7 @@ impl Experiment for BankruptCovert {
         // be explained by fabric congestion.
         let pd_tx = sim.alloc_pd(sender);
         let (tx_qp, _) = sim.connect(sender, pd_tx, server, pd_server, ConnectOptions::default());
-        let tx_app = sim.add_send_app(Box::new(Modulator {
+        let tx_app = sim.add_app(Box::new(Modulator {
             qp: tx_qp,
             remote: mr,
             bits: framed.clone(),
@@ -572,22 +565,17 @@ impl Experiment for BankruptCovert {
             gap: probe_gap,
             hot,
             cold,
-            overruns: Arc::clone(&overruns),
+            overruns: Rc::clone(&overruns),
             seq: 0,
         }));
         sim.own_qp(tx_app, tx_qp);
-        sim.set_app_scope(tx_app, &[sender]);
 
-        sim.run_until_workers(
-            BANKRUPT_START + total + SimDuration::from_micros(20),
-            pdes::ambient_workers(),
-        );
+        sim.run_until(BANKRUPT_START + total + SimDuration::from_micros(20));
 
         // Decode only samples taken while the sender modulated; the
         // earlier warm-up probes would dilute the phase search.
         let samples: Vec<(SimTime, f64)> = samples
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .copied()
             .filter(|&(t, _)| t >= BANKRUPT_START)
@@ -614,7 +602,7 @@ impl Experiment for BankruptCovert {
         let error_rate = errors as f64 / n as f64;
         let raw_bps = 1.0 / period.as_secs_f64();
         let effective_bps = raw_bps * (1.0 - binary_entropy(error_rate));
-        let overrun_count = *overruns.lock().unwrap();
+        let overrun_count = *overruns.borrow();
         let row = [
             format!("{:.1} us", period_ns as f64 / 1000.0),
             fmt_bps(raw_bps),
@@ -667,7 +655,7 @@ struct Modulator {
     gap: SimDuration,
     hot: u64,
     cold: u64,
-    overruns: Arc<Mutex<u64>>,
+    overruns: Rc<RefCell<u64>>,
     seq: u64,
 }
 
@@ -696,7 +684,7 @@ impl App for Modulator {
             64,
         );
         if ctx.post_send(self.qp, wr).is_err() {
-            *self.overruns.lock().unwrap() += 1;
+            *self.overruns.borrow_mut() += 1;
         }
         ctx.set_timer(self.gap, 0);
     }

@@ -6,10 +6,6 @@
 //! ```text
 //! --seed <u64>      master seed (default 0; every config derives its own)
 //! --threads <n>     worker threads (default: available parallelism)
-//! --workers <n>     PDES workers per simulation (default 1: sequential
-//!                   engine; N>1 runs eligible scenarios on the
-//!                   conservative-sync parallel engine — bit-identical
-//!                   results, so never part of cache keys)
 //! --quick           smaller parameter space, where the experiment has one
 //! --force           recompute every config, ignoring the result cache
 //! --no-cache        neither read nor write the result cache
@@ -28,8 +24,8 @@
 //!                   harness; default all)
 //! --metrics         collect per-cell metrics reports next to each cell
 //! --profile         enable the engine phase profiler: wall-clock per
-//!                   engine phase (queue ops, execute, merge, arena,
-//!                   chaos, flush), reported in report.{json,md}; pure
+//!                   engine phase (queue ops, execute, arena, chaos,
+//!                   flush), reported in report.{json,md}; pure
 //!                   observation — digests and cache keys are unchanged
 //! --cell-timeout <ms>  wall-clock watchdog per cell attempt; an attempt
 //!                   past the budget is recorded as timed out (never part
@@ -42,11 +38,6 @@
 //!                   (log, fail-cell or abort-run); forces cells to
 //!                   execute (cache reads bypassed) but artifacts and keys
 //!                   are unchanged — monitors observe, never perturb
-//! --exec-chaos-seed <u64>  install a seeded worker-fault plan (panics,
-//!                   stalls, slow starts) under the supervised PDES pool;
-//!                   digests must not change — this is a self-test of the
-//!                   quarantine/replay machinery (requires --workers > 1
-//!                   to bite; never part of cache keys)
 //! --only <substr>   run only configs whose label contains the substring
 //!                   (the spelling `--only "<label>"` is what quarantined
 //!                   cells' repro commands use)
@@ -78,14 +69,6 @@ pub struct Cli {
     pub seed: u64,
     /// Worker threads (`--threads`, default: available parallelism).
     pub threads: usize,
-    /// PDES workers per simulation (`--workers`, default 1 = the
-    /// sequential engine). Like `--threads` and `--trace`, excluded
-    /// from configs and cache keys by construction: parsed into this
-    /// dedicated field, never into `extras` where `Experiment::params`
-    /// could fold it into a config — the parallel engine is
-    /// bit-identical to the sequential one, so cached results are
-    /// interchangeable across worker counts.
-    pub workers: usize,
     /// Reduced parameter space (`--quick`).
     pub quick: bool,
     /// Ignore cache hits and recompute (`--force`).
@@ -130,9 +113,6 @@ pub struct Cli {
     /// Online invariant-monitor policy (`--monitors`), validated at
     /// parse time. `None` (default) runs unmonitored.
     pub monitors: Option<sim_core::ViolationPolicy>,
-    /// Seed for an execution-fault plan against the supervised PDES
-    /// pool (`--exec-chaos-seed`). `None` (default) disables it.
-    pub exec_chaos_seed: Option<u64>,
     /// Label-substring filter (`--only`); configs whose label does not
     /// contain it are dropped before the sweep.
     pub only: Option<String>,
@@ -145,7 +125,6 @@ impl Default for Cli {
         Cli {
             seed: 0,
             threads: executor::default_threads(),
-            workers: 1,
             quick: false,
             force: false,
             no_cache: false,
@@ -160,7 +139,6 @@ impl Default for Cli {
             cell_timeout_ms: None,
             retries: 0,
             monitors: None,
-            exec_chaos_seed: None,
             only: None,
             extras: Vec::new(),
         }
@@ -186,9 +164,6 @@ impl Cli {
                 "--seed" => cli.seed = take_u64(&mut it, "--seed")?,
                 "--threads" => {
                     cli.threads = take_u64(&mut it, "--threads")?.clamp(1, 4096) as usize;
-                }
-                "--workers" => {
-                    cli.workers = take_u64(&mut it, "--workers")?.clamp(1, 512) as usize;
                 }
                 "--quick" => cli.quick = true,
                 "--force" => cli.force = true,
@@ -234,9 +209,6 @@ impl Cli {
                         .map_err(|e| CliError(format!("--monitors: {e}")))?;
                     cli.monitors = Some(policy);
                 }
-                "--exec-chaos-seed" => {
-                    cli.exec_chaos_seed = Some(take_u64(&mut it, "--exec-chaos-seed")?);
-                }
                 "--only" => cli.only = Some(take_value(&mut it, "--only")?),
                 _ => cli.extras.push(arg),
             }
@@ -275,12 +247,12 @@ fn take_u64(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, Cl
 fn usage(exp: &dyn Experiment) -> String {
     format!(
         "{name} — {desc}\n\n\
-         usage: {name} [--seed <u64>] [--threads <n>] [--workers <n>] [--quick]\n\
+         usage: {name} [--seed <u64>] [--threads <n>] [--quick]\n\
          {pad}   [--force] [--no-cache]\n\
          {pad}   [--results <dir>] [--chaos-seed <u64>] [--chaos-plan <file>]\n\
          {pad}   [--topology <spec>] [--trace <path>] [--trace-filter <targets>]\n\
          {pad}   [--metrics] [--profile] [--cell-timeout <ms>] [--retries <n>]\n\
-         {pad}   [--monitors <log|fail-cell|abort-run>] [--exec-chaos-seed <u64>]\n\
+         {pad}   [--monitors <log|fail-cell|abort-run>]\n\
          {pad}   [--only <label-substring>]\n\
          {pad}   [experiment-specific flags]\n\n\
          Artifacts and the run manifest land in <results>/{name}/;\n\
@@ -321,18 +293,13 @@ pub fn run_main(exp: &dyn Experiment) -> ExitCode {
 /// concerns. Returns the number of failed configs. Used by binaries
 /// (via [`run_main`]) and integration tests alike.
 pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
-    // Publish the PDES worker count ambiently: scenario code reads it at
-    // its `run_until_workers` call sites, keeping `Experiment::run`
-    // signatures — and, by construction, cache keys — untouched.
-    pdes::set_ambient_workers(cli.workers);
-    // The supervision knobs follow the same ambient pattern — installed
-    // for the sweep, reset on every exit path by the guard below so a
-    // later in-process invocation (tests, batch drivers) starts clean.
+    // The monitor and profiler knobs are process-wide — installed for
+    // the sweep, reset on every exit path by the guard below so a later
+    // in-process invocation (tests, batch drivers) starts clean.
     struct AmbientReset;
     impl Drop for AmbientReset {
         fn drop(&mut self) {
             sim_core::set_ambient_monitors(None);
-            pdes::set_ambient_supervision(None);
             profile::set_enabled(false);
         }
     }
@@ -345,17 +312,6 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
         sim_core::set_ambient_monitors(Some(sim_core::MonitorConfig {
             policy,
             ..Default::default()
-        }));
-    }
-    if let Some(chaos_seed) = cli.exec_chaos_seed {
-        let plan = ragnar_chaos::ExecFaultPlan::generate(
-            chaos_seed,
-            &ragnar_chaos::ExecPlanParams::default(),
-        );
-        pdes::set_ambient_supervision(Some(pdes::PoolPolicy {
-            stall_timeout: Some(std::time::Duration::from_secs(2)),
-            max_respawns: 8,
-            fault_hook: Some(plan.to_hook()),
         }));
     }
     let t_start = Instant::now();
@@ -407,9 +363,9 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
             },
             cell_timeout: cli.cell_timeout_ms.map(std::time::Duration::from_millis),
             retries: cli.retries,
-            // Supervision modes exist to *exercise* cells; a cache hit
-            // would skip the work they are meant to observe.
-            bypass_cache_reads: cli.monitors.is_some() || cli.exec_chaos_seed.is_some(),
+            // Monitors exist to *exercise* cells; a cache hit would skip
+            // the work they are meant to observe.
+            bypass_cache_reads: cli.monitors.is_some(),
         },
     );
     stages.push(("execute".into(), t0.elapsed().as_secs_f64() * 1e3));
@@ -558,8 +514,6 @@ mod tests {
             "42",
             "--threads",
             "3",
-            "--workers",
-            "8",
             "--quick",
             "--force",
             "--no-cache",
@@ -577,7 +531,6 @@ mod tests {
         ]);
         assert_eq!(cli.seed, 42);
         assert_eq!(cli.threads, 3);
-        assert_eq!(cli.workers, 8);
         assert!(cli.quick && cli.force && cli.no_cache);
         assert_eq!(cli.results_dir, PathBuf::from("/tmp/r"));
         assert_eq!(cli.chaos_seed, Some(9));
@@ -597,8 +550,6 @@ mod tests {
     fn bad_values_are_errors() {
         assert!(Cli::parse(["--seed".to_string()]).is_err());
         assert!(Cli::parse(["--threads".to_string(), "x".to_string()]).is_err());
-        assert!(Cli::parse(["--workers".to_string(), "x".to_string()]).is_err());
-        assert!(Cli::parse(["--workers".to_string()]).is_err());
         assert!(Cli::parse(["--chaos-seed".to_string(), "x".to_string()]).is_err());
         assert!(Cli::parse(["--topology".to_string()]).is_err());
         assert!(Cli::parse(["--topology".to_string(), "ring:n=8".to_string()]).is_err());
@@ -612,7 +563,6 @@ mod tests {
         assert!(Cli::parse(["--retries".to_string()]).is_err());
         assert!(Cli::parse(["--monitors".to_string(), "verbose".to_string()]).is_err());
         assert!(Cli::parse(["--monitors".to_string()]).is_err());
-        assert!(Cli::parse(["--exec-chaos-seed".to_string(), "x".to_string()]).is_err());
         assert!(Cli::parse(["--only".to_string()]).is_err());
     }
 
@@ -625,15 +575,12 @@ mod tests {
             "3",
             "--monitors",
             "fail-cell",
-            "--exec-chaos-seed",
-            "17",
             "--only",
             "op=read",
         ]);
         assert_eq!(cli.cell_timeout_ms, Some(5000));
         assert_eq!(cli.retries, 3);
         assert_eq!(cli.monitors, Some(sim_core::ViolationPolicy::FailCell));
-        assert_eq!(cli.exec_chaos_seed, Some(17));
         assert_eq!(cli.only.as_deref(), Some("op=read"));
         // Retries clamp instead of erroring.
         assert_eq!(parse(&["--retries", "99"]).retries, 16);
@@ -648,43 +595,12 @@ mod tests {
 }
 
 #[cfg(test)]
-mod workers_key_exclusion {
+mod key_exclusion {
     use super::*;
 
-    /// `--workers` must never reach cache keys. The only key material an
-    /// experiment can fold into configs is the dedicated shared fields
-    /// plus `extras`; this pins the flag (and its value) landing in the
-    /// dedicated field with `extras` left empty — exclusion by
-    /// construction, not by every experiment's discipline.
-    #[test]
-    fn workers_flag_never_lands_in_extras() {
-        let cli = Cli::parse(
-            ["--workers", "8", "--seed", "3"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .expect("parse");
-        assert_eq!(cli.workers, 8);
-        assert!(cli.extras().is_empty(), "--workers leaked into extras");
-        assert!(!cli.flag("--workers"));
-        assert_eq!(cli.option_u64("--workers"), None);
-    }
-
-    /// Defaults to the sequential engine; out-of-band values clamp
-    /// instead of erroring.
-    #[test]
-    fn workers_defaults_and_clamps() {
-        assert_eq!(Cli::parse(Vec::<String>::new()).expect("parse").workers, 1);
-        let lo = Cli::parse(["--workers".to_string(), "0".to_string()]).expect("parse");
-        assert_eq!(lo.workers, 1);
-        let hi = Cli::parse(["--workers".to_string(), "99999".to_string()]).expect("parse");
-        assert_eq!(hi.workers, 512);
-    }
-
-    /// The supervision flags are all observational: like `--workers`
-    /// they must land in dedicated fields, never in `extras`, so no
-    /// experiment can fold them into a config — and hence into a cache
-    /// key — by accident.
+    /// The supervision flags are all observational: they must land in
+    /// dedicated fields, never in `extras`, so no experiment can fold
+    /// them into a config — and hence into a cache key — by accident.
     #[test]
     fn supervision_flags_never_land_in_extras() {
         let cli = Cli::parse(
@@ -695,8 +611,6 @@ mod workers_key_exclusion {
                 "2",
                 "--monitors",
                 "log",
-                "--exec-chaos-seed",
-                "5",
                 "--only",
                 "i=3",
             ]
@@ -709,13 +623,7 @@ mod workers_key_exclusion {
             "supervision flag leaked: {:?}",
             cli.extras()
         );
-        for flag in [
-            "--cell-timeout",
-            "--retries",
-            "--monitors",
-            "--exec-chaos-seed",
-            "--only",
-        ] {
+        for flag in ["--cell-timeout", "--retries", "--monitors", "--only"] {
             assert!(!cli.flag(flag), "{flag} visible as an extra");
             assert_eq!(cli.option_u64(flag), None);
         }

@@ -116,10 +116,10 @@ pub struct ExecOptions {
     /// Retries reuse the cell's seed — a deterministic failure fails
     /// every rung of the ladder and ends quarantined.
     pub retries: u32,
-    /// Skip cache reads (writes still happen). Set by supervision modes
-    /// (`--monitors`, `--exec-chaos-seed`) whose whole point is that the
-    /// cell actually executes; keys are unchanged, so the refreshed
-    /// entries stay interchangeable with unsupervised ones.
+    /// Skip cache reads (writes still happen). Set by `--monitors`,
+    /// whose whole point is that the cell actually executes; keys are
+    /// unchanged, so the refreshed entries stay interchangeable with
+    /// unmonitored ones.
     pub bypass_cache_reads: bool,
 }
 

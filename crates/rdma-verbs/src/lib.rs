@@ -21,8 +21,7 @@ mod wr;
 
 pub use host::HostSpec;
 pub use world::{
-    App, AppId, ConnectOptions, Ctx, MrHandle, QpHandle, QueueBackend, Simulation, SupervisorStats,
-    VerbsError,
+    App, AppId, ConnectOptions, Ctx, MrHandle, QpHandle, QueueBackend, Simulation, VerbsError,
 };
 pub use wr::WorkRequest;
 
@@ -35,8 +34,7 @@ pub use rnic_model::{
 // Re-export the fault-injection vocabulary so experiment crates can build
 // and install plans without depending on the chaos crate directly.
 pub use ragnar_chaos::{
-    ExecFaultEvent, ExecFaultKind, ExecFaultPlan, ExecPlanParams, ExecWorkerSelector, FabricStats,
-    FaultEvent, FaultKind, FaultPlan, InjectorStats, LinkSelector, PlanParams,
+    FabricStats, FaultEvent, FaultKind, FaultPlan, InjectorStats, LinkSelector, PlanParams,
 };
 
 // Re-export the fabric vocabulary for the same reason: experiments build

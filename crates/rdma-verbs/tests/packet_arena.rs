@@ -161,36 +161,3 @@ fn legacy_wire_is_copy_free_on_both_backends() {
         assert_eq!(stats.live(), 0, "leak on {backend:?}");
     }
 }
-
-/// The parallel engine's round-local arenas obey the same conservation:
-/// packets re-home across the worker boundary (egress checkout, detach /
-/// attach, cooked transmits) without ever being copied or leaked.
-#[test]
-fn parallel_engine_conserves_packets() {
-    let topo = Topology::from_spec("leaf-spine:hosts=4,leaves=2,spines=2").expect("spec");
-    let mut sim = Simulation::with_topology(23, topo, None);
-    let r0 = sim.add_host(DeviceProfile::connectx5());
-    let r1 = sim.add_host(DeviceProfile::connectx5());
-    let responder = sim.add_host(DeviceProfile::connectx5());
-    let pd0 = sim.alloc_pd(r0);
-    let pd1 = sim.alloc_pd(r1);
-    let pd_s = sim.alloc_pd(responder);
-    let mr = sim.register_mr(responder, pd_s, 1 << 20, AccessFlags::remote_all());
-    let (qa, _) = sim.connect(r0, pd0, responder, pd_s, ConnectOptions::default());
-    let (qb, _) = sim.connect(r1, pd1, responder, pd_s, ConnectOptions::default());
-    for &qp in &[qa, qb] {
-        for wr_id in 0..16u64 {
-            sim.post_send(
-                qp,
-                WorkRequest::read(wr_id, 0x1000, mr.addr(0), mr.key, 256),
-            )
-            .expect("post");
-        }
-    }
-    sim.set_parallel_ship_threshold(0);
-    sim.run_until_workers(SimTime::from_millis(50), 4);
-    let stats = sim.packet_arena_stats();
-    assert!(stats.allocs > 0, "parallel run moved no packets");
-    assert_eq!(stats.dup_clones, 0, "parallel run cloned a packet");
-    assert_eq!(stats.live(), 0, "parallel run leaked packets");
-}

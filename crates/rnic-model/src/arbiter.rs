@@ -14,7 +14,7 @@
 //! or touches the full packet, which stays in the
 //! [`PacketArena`](crate::PacketArena) from allocation to delivery.
 
-use crate::arena::{PacketArena, PacketHandle};
+use crate::arena::PacketHandle;
 use crate::packet::{Packet, PacketKind};
 use crate::types::{FlowId, TrafficClass};
 use sim_core::{SimDuration, SimTime};
@@ -222,24 +222,6 @@ impl EgressScheduler {
         match class {
             EgressClass::TxRequest => self.tx.queues[tc].push_back(item),
             EgressClass::RxResponse => self.rx.queues[tc].push_back(item),
-        }
-    }
-
-    /// Moves every still-queued packet from one arena to another,
-    /// patching the queued handles in place. Parallel engines use this
-    /// when a NIC crosses a worker boundary: packets waiting on
-    /// arbitration must travel with the NIC, since the arena they were
-    /// allocated in stays behind. Queue order, deficit state and burst
-    /// state are untouched, so grant decisions after the move are
-    /// bit-identical.
-    pub fn rehome(&mut self, from: &mut PacketArena, to: &mut PacketArena) {
-        for group in [&mut self.tx, &mut self.rx] {
-            for q in &mut group.queues {
-                for item in q.iter_mut() {
-                    let pkt = from.take(item.pkt);
-                    item.pkt = to.insert(pkt);
-                }
-            }
         }
     }
 

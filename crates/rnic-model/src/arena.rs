@@ -49,8 +49,8 @@ pub struct PacketHandle {
 }
 
 impl PacketHandle {
-    /// A handle that matches no slot — the placeholder left behind when
-    /// a packet is detached from its arena to cross a worker boundary.
+    /// A handle that matches no slot — the filler for unused entries
+    /// (such as the empty tail of a hop batch).
     pub const DANGLING: PacketHandle = PacketHandle {
         idx: u32::MAX,
         gen: u32::MAX,

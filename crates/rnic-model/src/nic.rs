@@ -217,23 +217,6 @@ pub enum NicEvent {
     },
 }
 
-impl NicEvent {
-    /// The packet handle this event carries, if any — the worker-boundary
-    /// code uses this to detach the packet from one arena and re-attach
-    /// it to another, patching the handle in place.
-    pub fn packet_handle_mut(&mut self) -> Option<&mut PacketHandle> {
-        match self {
-            NicEvent::IngressArrival { pkt }
-            | NicEvent::RxPacket { pkt }
-            | NicEvent::RxPuDone { pkt }
-            | NicEvent::TpuDone { pkt }
-            | NicEvent::DmaDone { pkt }
-            | NicEvent::AtomicExecDone { pkt } => Some(pkt),
-            _ => None,
-        }
-    }
-}
-
 /// Effects a NIC handler asks the world to carry out.
 #[derive(Debug, Clone)]
 pub enum NicAction {
@@ -507,14 +490,6 @@ impl Rnic {
     /// Pauses a traffic class until `until` (PFC).
     pub fn pause_tc(&mut self, tc: TrafficClass, until: SimTime) {
         self.egress.pause(tc, until);
-    }
-
-    /// Moves every packet still queued in this NIC's egress scheduler
-    /// from one arena to another, patching the queued handles in place.
-    /// Parallel engines call this when the NIC crosses a worker
-    /// boundary; the sequential engine never needs it.
-    pub fn rehome_egress(&mut self, from: &mut PacketArena, to: &mut PacketArena) {
-        self.egress.rehome(from, to);
     }
 
     /// Counters (Grain-I/II/III observables).

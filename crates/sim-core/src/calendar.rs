@@ -405,16 +405,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// [`pop_before`](CalendarQueue::pop_before) with the insertion
-    /// sequence number exposed.
-    pub fn pop_with_seq_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop_with_seq()
-        } else {
-            None
-        }
-    }
-
     /// Drops all pending events without touching the clock.
     ///
     /// The seq counter keeps rising across `clear`, so handles issued

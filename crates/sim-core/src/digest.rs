@@ -1,12 +1,12 @@
-//! A tiny order-insensitive-free (i.e. strictly order-sensitive) 64-bit
-//! fold used to fingerprint event streams and actor states.
+//! A strictly order-sensitive 64-bit fold used to fingerprint event
+//! streams.
 //!
-//! A parallel run folds the exact same words in the exact same order as
-//! a sequential one, so a single `u64` comparison is enough to assert
-//! that it reproduced the sequential run bit-for-bit. One xor-multiply
-//! round per word with a finalizing xor-shift mix: cheap (the fold sits
-//! on the per-event hot path of the engine it fingerprints),
-//! deterministic, and sensitive to both value and position.
+//! Two runs that fold the same words in the same order share a value,
+//! so a single `u64` comparison asserts that one reproduced the other
+//! bit-for-bit (across queue backends, thread counts or monitors). One
+//! xor-multiply round per word with a finalizing xor-shift mix: cheap
+//! (the fold sits on the per-event hot path), deterministic, and
+//! sensitive to both value and position.
 //!
 //! The digest value is never pinned as a constant anywhere — it exists
 //! only to be compared against another digest computed by the same

@@ -5,7 +5,8 @@
 //! future-event list (the [`EventSchedule`] trait with two backends —
 //! the hot-path hierarchical [`CalendarQueue`] and the heap-based
 //! [`ReferenceQueue`] ordering oracle; [`EventQueue`] aliases the
-//! default backend), seeded randomness ([`SimRng`]),
+//! default backend), seeded randomness ([`SimRng`]), an
+//! order-sensitive event-stream fingerprint ([`Digest64`]),
 //! queueing primitives for contended hardware resources
 //! ([`ServiceResource`], [`BankedResource`], [`LinkResource`]), and the
 //! statistics used by the paper's measurement methodology
@@ -41,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod calendar;
+mod digest;
 mod fxmap;
 mod monitor;
 mod queue;
@@ -51,6 +53,7 @@ mod supervise;
 mod time;
 
 pub use calendar::CalendarQueue;
+pub use digest::Digest64;
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
 pub use monitor::{ambient_monitors, set_ambient_monitors, MonitorConfig, ViolationPolicy};
 pub use queue::{EventHandle, EventSchedule, ReferenceQueue};

@@ -102,19 +102,8 @@ pub trait EventSchedule<E> {
 
     /// Like [`pop`](EventSchedule::pop), but also exposes the event's
     /// insertion sequence number — the FIFO tiebreak among equal
-    /// timestamps. Parallel engines use `(at, seq)` as the deterministic
-    /// merge key when draining a batch of events.
+    /// timestamps.
     fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)>;
-
-    /// Like [`pop_before`](EventSchedule::pop_before) with the insertion
-    /// sequence number exposed.
-    fn pop_with_seq_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop_with_seq()
-        } else {
-            None
-        }
-    }
 
     /// Drops all pending events without touching the clock.
     fn clear(&mut self);
@@ -311,16 +300,6 @@ impl<E> ReferenceQueue<E> {
             self.now = s.at;
             self.popped += 1;
             return Some((s.at, s.seq, s.event));
-        }
-    }
-
-    /// [`pop_before`](ReferenceQueue::pop_before) with the insertion
-    /// sequence number exposed.
-    pub fn pop_with_seq_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop_with_seq()
-        } else {
-            None
         }
     }
 

@@ -1,10 +1,8 @@
 //! Process-wide panic supervision gate.
 //!
-//! Several layers of the stack run work they expect may panic and
-//! recover from it deliberately: the harness executor isolates each
-//! sweep cell behind `catch_unwind`, and the `pdes` worker pool catches
-//! worker panics so the coordinator can quarantine the worker and
-//! replay the poisoned window. For those *supervised* sections the
+//! The harness executor runs work it expects may panic and recovers
+//! from it deliberately: it isolates each sweep cell behind
+//! `catch_unwind`. For those *supervised* sections the
 //! default panic hook's backtrace spew is pure noise — but silencing
 //! the hook globally (what the executor used to do) also swallows
 //! panics from threads nobody is supervising: a telemetry flush, a

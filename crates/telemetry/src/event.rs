@@ -24,14 +24,11 @@ pub enum Target {
     Defense = 5,
     /// The experiment harness itself: cell lifecycle, log facade.
     Harness = 6,
-    /// The parallel engine (`pdes`): lookahead-window lanes, supervisor
-    /// activity.
-    Pdes = 7,
 }
 
 impl Target {
     /// Every target, in stable order.
-    pub const ALL: [Target; 8] = [
+    pub const ALL: [Target; 7] = [
         Target::SimCore,
         Target::RnicModel,
         Target::RdmaVerbs,
@@ -39,7 +36,6 @@ impl Target {
         Target::Core,
         Target::Defense,
         Target::Harness,
-        Target::Pdes,
     ];
 
     /// The target's canonical name (also the Chrome trace `cat` field).
@@ -52,7 +48,6 @@ impl Target {
             Target::Core => "core",
             Target::Defense => "defense",
             Target::Harness => "harness",
-            Target::Pdes => "pdes",
         }
     }
 

@@ -101,8 +101,8 @@ pub fn chrome_trace_json(cells: &[TraceCell<'_>]) -> String {
         entry.push_str(ids.get(tid));
         entry.push_str(",\"args\":{\"name\":");
         let tname = if actor.host == ActorId::GLOBAL_HOST {
-            // Run-track lanes: 0 is the run itself, lane n+1 is port /
-            // PDES-group lane n (PFC pause spans, worker-window lanes).
+            // Run-track lanes: 0 is the run itself, lane n+1 is port
+            // lane n (PFC pause spans).
             if actor.lane == 0 {
                 "run".to_string()
             } else {

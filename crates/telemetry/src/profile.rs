@@ -1,7 +1,6 @@
 //! Engine self-profiler: scoped wall-clock timers attributing run time
-//! to engine **phases** (queue pop, app execute, PDES OutEntry cooking,
-//! merge-heap drain, worker idle, arena alloc/free, chaos injection,
-//! telemetry flush).
+//! to engine **phases** (queue schedule/pop, app execute, arena
+//! alloc/free, chaos injection, telemetry flush).
 //!
 //! # Zero overhead when disabled
 //!
@@ -28,8 +27,8 @@
 //! # Threading
 //!
 //! Each thread accumulates into its own lock-free slot array
-//! (registered once, on first use, into a global registry), so PDES
-//! worker threads profile without contending with the coordinator.
+//! (registered once, on first use, into a global registry), so harness
+//! threads running cells side by side profile without contending.
 //! [`snapshot`] folds all threads' slots into one [`ProfileReport`].
 //! Nested spans are **inclusive**: a `QueuePop` span opened inside an
 //! `Execute` span bills both phases for the overlap.
@@ -93,17 +92,16 @@ fn ns_per_tick() -> f64 {
 pub enum Phase {
     /// Event-queue inserts (`schedule`) on either backend.
     QueueSchedule = 0,
-    /// Event-queue pops (`pop_before` / `pop_with_seq_before`).
+    /// Event-queue pops (`pop_before` / `pop_with_seq`).
     QueuePop = 1,
     /// Application/NIC event execution (the simulation's real work).
     Execute = 2,
-    /// PDES worker-side OutEntry cooking (`process_group`).
+    /// Never entered: a phase of the retired parallel event engine,
+    /// kept only because `crates/bench/examples/perf` reads it.
     OutCook = 3,
-    /// PDES coordinator merge-heap drain (ordered replay of worker
-    /// output streams).
+    /// Never entered (see [`Phase::OutCook`]).
     MergeDrain = 4,
-    /// PDES worker threads blocked waiting for the next job (barrier /
-    /// idle time).
+    /// Never entered (see [`Phase::OutCook`]).
     WorkerIdle = 5,
     /// Packet-arena allocations (`insert`).
     ArenaAlloc = 6,
@@ -391,19 +389,19 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let _span = enter(Phase::WorkerIdle);
+                    let _span = enter(Phase::Execute);
                 });
             }
         });
         set_enabled(false);
         let report = snapshot();
-        let idle = report
+        let execute = report
             .phases
             .iter()
-            .find(|(p, _)| *p == Phase::WorkerIdle)
+            .find(|(p, _)| *p == Phase::Execute)
             .map(|(_, t)| *t)
             .expect("phase present");
-        assert_eq!(idle.calls, 4);
+        assert_eq!(execute.calls, 4);
         reset();
     }
 
