@@ -80,28 +80,31 @@ test "$prof_digest" = "$baseline_digest"
 printf '%s\n' "$prof_out" | grep -q '^profile: '
 
 echo "== run-report smoke: report.json / report.md carry the documented shape"
+# A throwaway results directory, so the captured results/ stay as they are.
+smoke_results=$(mktemp -d)
 cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-    --quick --force --metrics --profile > /dev/null
-test -s results/fig4_contention/report.json
-test -s results/fig4_contention/report.md
+    --quick --force --metrics --profile --results "$smoke_results" > /dev/null
+smoke_report="$smoke_results/fig4_contention/report.json"
+test -s "$smoke_report"
+test -s "$smoke_results/fig4_contention/report.md"
 for key in '"cells":' '"counters":' '"histograms":' '"slo":' '"timing":' '"profile":'; do
-    grep -q "$key" results/fig4_contention/report.json
+    grep -q "$key" "$smoke_report"
 done
-grep -q 'Engine phase profile' results/fig4_contention/report.md
-grep -q 'Merged latency histograms' results/fig4_contention/report.md
+grep -q 'Engine phase profile' "$smoke_results/fig4_contention/report.md"
+grep -q 'Merged latency histograms' "$smoke_results/fig4_contention/report.md"
 
 echo "== bench-diff gate: identical reports pass, injected regression trips non-zero"
-cp results/fig4_contention/report.json /tmp/ragnar-ci-baseline.json
+cp "$smoke_report" "$smoke_results/baseline.json"
 cargo run --release --offline -p ragnar-bench --bin bench_diff -- \
-    /tmp/ragnar-ci-baseline.json results/fig4_contention/report.json > /dev/null
+    "$smoke_results/baseline.json" "$smoke_report" > /dev/null
 # Perturb one deterministic counter; the 0%-threshold diff must fail.
-sed 's/"retries":[0-9]*/"retries":7/' /tmp/ragnar-ci-baseline.json \
-    > /tmp/ragnar-ci-regressed.json
+sed 's/"retries":[0-9]*/"retries":7/' "$smoke_results/baseline.json" \
+    > "$smoke_results/regressed.json"
 if cargo run --release --offline -p ragnar-bench --bin bench_diff -- \
-    /tmp/ragnar-ci-baseline.json /tmp/ragnar-ci-regressed.json > /dev/null; then
+    "$smoke_results/baseline.json" "$smoke_results/regressed.json" > /dev/null; then
     echo "bench-diff failed to flag an injected regression"
     exit 1
 fi
-rm -f /tmp/ragnar-ci-baseline.json /tmp/ragnar-ci-regressed.json
+rm -rf "$smoke_results"
 
 echo "CI OK"

@@ -212,18 +212,7 @@ pub fn measure_pair(
     }
 }
 
-/// One cell of the Fig.-4 grid.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct GridCell {
-    /// The induced ("Ind.") flow — the one whose degradation is plotted.
-    pub a: FlowSpec,
-    /// The inducing ("Inr.") flow.
-    pub b: FlowSpec,
-    /// Measurement.
-    pub outcome: PairOutcome,
-}
-
-/// Sweep configuration for [`contention_grid`].
+/// The Fig.-4 sweep space: every (shape, size, qp) flow in both roles.
 #[derive(Debug, Clone)]
 pub struct GridConfig {
     /// Message sizes each flow sweeps.
@@ -232,10 +221,6 @@ pub struct GridConfig {
     pub qp_counts: Vec<usize>,
     /// Flow shapes to pair (opcode + direction).
     pub shapes: Vec<(Opcode, FlowDirection)>,
-    /// Per-pair measurement parameters.
-    pub pair: PairConfig,
-    /// Worker threads.
-    pub threads: usize,
 }
 
 impl Default for GridConfig {
@@ -249,87 +234,43 @@ impl Default for GridConfig {
                 (Opcode::AtomicFetchAdd, FlowDirection::FromClient),
                 (Opcode::Read, FlowDirection::ReverseFromServer),
             ],
-            pair: PairConfig::default(),
-            threads: 8,
         }
     }
 }
 
-/// Runs the full contention grid (the paper's ">6000 combinations" scan —
-/// the default config enumerates every (shape, size, qp) pair in both
-/// roles). Combos run in parallel; results come back in deterministic
-/// order.
-pub fn contention_grid(profile: &DeviceProfile, cfg: &GridConfig) -> Vec<GridCell> {
-    let mut combos = Vec::new();
-    for &(op_a, dir_a) in &cfg.shapes {
-        for &(op_b, dir_b) in &cfg.shapes {
-            for &size_a in &cfg.sizes {
-                for &size_b in &cfg.sizes {
-                    for &qp_a in &cfg.qp_counts {
-                        for &qp_b in &cfg.qp_counts {
-                            let a = FlowSpec {
-                                opcode: op_a,
-                                msg_len: size_a,
-                                qp_count: qp_a,
-                                direction: dir_a,
-                            };
-                            let b = FlowSpec {
-                                opcode: op_b,
-                                msg_len: size_b,
-                                qp_count: qp_b,
-                                direction: dir_b,
-                            };
-                            combos.push((a, b));
+impl GridConfig {
+    /// Every `(induced, inducing)` flow pair of the grid, shapes
+    /// outermost and QP counts innermost — the paper's ">6000
+    /// combinations" scan for the default config.
+    pub fn combos(&self) -> Vec<(FlowSpec, FlowSpec)> {
+        let mut combos = Vec::new();
+        for &(op_a, dir_a) in &self.shapes {
+            for &(op_b, dir_b) in &self.shapes {
+                for &size_a in &self.sizes {
+                    for &size_b in &self.sizes {
+                        for &qp_a in &self.qp_counts {
+                            for &qp_b in &self.qp_counts {
+                                let a = FlowSpec {
+                                    opcode: op_a,
+                                    msg_len: size_a,
+                                    qp_count: qp_a,
+                                    direction: dir_a,
+                                };
+                                let b = FlowSpec {
+                                    opcode: op_b,
+                                    msg_len: size_b,
+                                    qp_count: qp_b,
+                                    direction: dir_b,
+                                };
+                                combos.push((a, b));
+                            }
                         }
                     }
                 }
             }
         }
+        combos
     }
-    grid_over(profile, &combos, cfg)
-}
-
-/// Runs an explicit list of flow pairs in parallel.
-pub fn grid_over(
-    profile: &DeviceProfile,
-    combos: &[(FlowSpec, FlowSpec)],
-    cfg: &GridConfig,
-) -> Vec<GridCell> {
-    let threads = cfg.threads.max(1);
-    let results: Vec<RefCell<Option<GridCell>>> =
-        combos.iter().map(|_| RefCell::new(None)).collect();
-    // RefCell is not Sync; use a simple index-striped split instead.
-    let mut out: Vec<Option<GridCell>> = vec![None; combos.len()];
-    std::thread::scope(|scope| {
-        let chunks: Vec<(usize, &mut [Option<GridCell>])> = {
-            let mut v = Vec::new();
-            let mut rest: &mut [Option<GridCell>] = &mut out;
-            let per = combos.len().div_ceil(threads);
-            let mut start = 0;
-            while !rest.is_empty() {
-                let take = per.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                v.push((start, head));
-                start += take;
-                rest = tail;
-            }
-            v
-        };
-        for (start, chunk) in chunks {
-            let pair_cfg = cfg.pair.clone();
-            scope.spawn(move || {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let (a, b) = combos[start + i];
-                    let mut c = pair_cfg.clone();
-                    c.seed = pair_cfg.seed.wrapping_add((start + i) as u64);
-                    let outcome = measure_pair(profile, a, b, &c);
-                    *slot = Some(GridCell { a, b, outcome });
-                }
-            });
-        }
-    });
-    drop(results);
-    out.into_iter().map(|c| c.expect("cell computed")).collect()
 }
 
 #[cfg(test)]
@@ -471,31 +412,5 @@ mod tests {
             "atomics should lose against bulk writes: {}",
             out.reduction_a()
         );
-    }
-
-    #[test]
-    fn grid_runs_in_parallel_and_is_deterministic() {
-        let profile = DeviceProfile::connectx4();
-        let combos = vec![
-            (
-                FlowSpec::client(Opcode::Read, 512, 1),
-                FlowSpec::client(Opcode::Write, 64, 1),
-            ),
-            (
-                FlowSpec::client(Opcode::Write, 64, 1),
-                FlowSpec::client(Opcode::Write, 64, 1),
-            ),
-        ];
-        let cfg = GridConfig {
-            pair: quick(),
-            threads: 2,
-            ..GridConfig::default()
-        };
-        let run1 = grid_over(&profile, &combos, &cfg);
-        let run2 = grid_over(&profile, &combos, &cfg);
-        assert_eq!(run1.len(), 2);
-        for (a, b) in run1.iter().zip(&run2) {
-            assert_eq!(a.outcome.duo_a_bps.to_bits(), b.outcome.duo_a_bps.to_bits());
-        }
     }
 }

@@ -355,7 +355,9 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
         store.as_ref(),
         &ExecOptions {
             threads: cli.threads,
-            force: cli.force,
+            // Monitors exist to *exercise* cells; a cache hit would skip
+            // the work they are meant to observe.
+            force: cli.force || cli.monitors.is_some(),
             telemetry: TelemetrySpec {
                 trace: cli.trace.is_some(),
                 filter,
@@ -363,9 +365,6 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
             },
             cell_timeout: cli.cell_timeout_ms.map(std::time::Duration::from_millis),
             retries: cli.retries,
-            // Monitors exist to *exercise* cells; a cache hit would skip
-            // the work they are meant to observe.
-            bypass_cache_reads: cli.monitors.is_some(),
         },
     );
     stages.push(("execute".into(), t0.elapsed().as_secs_f64() * 1e3));
@@ -398,7 +397,8 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
     let manifest = Manifest::from_records(
         exp.name(),
         cli.seed,
-        cli.threads,
+        // The worker count the executor actually used.
+        cli.threads.clamp(1, configs.len()),
         &records,
         stages,
         t_start.elapsed().as_secs_f64() * 1e3,

@@ -1,12 +1,20 @@
 //! The parallel sweep executor.
 //!
-//! Configs are distributed round-robin over per-worker deques; workers
-//! drain their own queue first and then steal from siblings (crossbeam
-//! deque topology), so a straggler config never idles the rest of the
-//! pool. Determinism is preserved at any thread count because each
-//! config's seed is derived from the config's *content*
-//! ([`sim_core::derive_seed`] over its canonical encoding), never from
-//! scheduling order.
+//! One shared cursor hands out configs in order: every worker
+//! `fetch_add`s the next config index and stops once the cursor passes
+//! the end, so a straggler config never idles the rest of the pool and
+//! there is no per-worker queue to balance. `threads - 1` scoped workers
+//! run beside the calling thread, which works the cursor too (at
+//! `threads` 1 every cell runs inline on the caller). Determinism is
+//! preserved at any thread count because each config's seed is derived
+//! from the config's *content* ([`sim_core::derive_seed`] over its
+//! canonical encoding), never from scheduling order.
+//!
+//! Sweeps that outlast `PROGRESS_AFTER` (2 s) print a `progress:` line
+//! on stderr (cells done, events/s, ETA). The worker that finishes a
+//! cell prints it, at most once per `PROGRESS_PERIOD` (500 ms); there is
+//! no reporter thread, so the sweep returns as soon as its last cell
+//! ends.
 //!
 //! The executor is also the harness's supervision layer:
 //!
@@ -39,7 +47,6 @@ use std::sync::Mutex;
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Stealer, Worker};
 use ragnar_telemetry::{
     ActorId, ArgValue, Event, EventKind, Session, SessionReport, Target, TargetSet,
 };
@@ -52,11 +59,11 @@ use crate::hash;
 /// oldest (evictions are counted and reported, never silent).
 pub const TRACE_RING_CAPACITY: usize = 1 << 20;
 
-/// How long a sweep must run before the progress reporter speaks up —
+/// How long a sweep must run before the progress line speaks up —
 /// quick sweeps finish silently.
 const PROGRESS_AFTER: Duration = Duration::from_secs(2);
 
-/// Cadence of the progress line once the reporter is engaged.
+/// Minimum spacing between two progress lines.
 const PROGRESS_PERIOD: Duration = Duration::from_millis(500);
 
 /// What the executor should observe about each cell. Telemetry never
@@ -116,11 +123,6 @@ pub struct ExecOptions {
     /// Retries reuse the cell's seed — a deterministic failure fails
     /// every rung of the ladder and ends quarantined.
     pub retries: u32,
-    /// Skip cache reads (writes still happen). Set by `--monitors`,
-    /// whose whole point is that the cell actually executes; keys are
-    /// unchanged, so the refreshed entries stay interchangeable with
-    /// unmonitored ones.
-    pub bypass_cache_reads: bool,
 }
 
 impl Default for ExecOptions {
@@ -131,7 +133,6 @@ impl Default for ExecOptions {
             telemetry: TelemetrySpec::default(),
             cell_timeout: None,
             retries: 0,
-            bypass_cache_reads: false,
         }
     }
 }
@@ -146,7 +147,7 @@ pub fn default_threads() -> usize {
 /// Derives the seed for one config of one experiment.
 ///
 /// Depends only on `(master_seed, experiment name, config content)`, so
-/// every schedule — any thread count, any steal pattern, a resumed
+/// every schedule — any thread count, any cell order, a resumed
 /// partial sweep — hands the config the same seed.
 pub fn config_seed(master_seed: u64, experiment: &str, config: &Config) -> u64 {
     sim_core::derive_seed(master_seed, &format!("{experiment}/{}", config.canonical()))
@@ -185,19 +186,59 @@ impl AbortState {
     }
 }
 
-/// Everything a worker needs to run cells; borrowed for the sweep.
+/// Everything a worker needs to run cells, shared for the sweep.
 struct SweepCtx<'env> {
     exp: &'env dyn Experiment,
     configs: &'env [Config],
     master_seed: u64,
     store: Option<&'env ResultStore>,
     opts: &'env ExecOptions,
-    slots: &'env [Mutex<Option<RunRecord>>],
-    completed: &'env AtomicUsize,
+    slots: Vec<Mutex<Option<RunRecord>>>,
+    /// Index of the next config to hand out. `Relaxed` throughout: the
+    /// cursor publishes no data (records travel through `slots` and the
+    /// scope join).
+    cursor: AtomicUsize,
+    completed: AtomicUsize,
     /// Telemetry events accepted across finished cells, for the
-    /// progress reporter's events/s figure.
-    events: &'env AtomicU64,
-    abort: &'env AbortState,
+    /// progress line's events/s figure.
+    events: AtomicU64,
+    started: Instant,
+    /// No progress line prints before this instant; the worker that
+    /// prints one pushes it a period ahead.
+    next_progress: Mutex<Instant>,
+    abort: AbortState,
+}
+
+impl SweepCtx<'_> {
+    /// Counts one finished cell and, past [`PROGRESS_AFTER`], prints the
+    /// progress line unless another worker printed one within the last
+    /// [`PROGRESS_PERIOD`]. It only reads counters — progress is
+    /// wall-clock and must never become trace or artifact material.
+    fn cell_done(&self) {
+        let done = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
+        let total = self.configs.len();
+        let now = Instant::now();
+        // A held lock means another worker is printing right now; a
+        // poisoned one ends the best-effort progress line.
+        let Ok(mut due) = self.next_progress.try_lock() else {
+            return;
+        };
+        if done >= total || now < *due {
+            return;
+        }
+        *due = now + PROGRESS_PERIOD;
+        let secs = (now - self.started).as_secs_f64();
+        let eta_s = (total - done) as f64 * secs / done as f64;
+        // Trace-event throughput only exists with telemetry on;
+        // otherwise the line is cells+ETA.
+        let events = self.events.load(Ordering::Relaxed);
+        let rate_part = if events > 0 {
+            format!("{:.0} ev/s, ", events as f64 / secs)
+        } else {
+            String::new()
+        };
+        ragnar_telemetry::progress(format!("{done}/{total} cells ({rate_part}ETA {eta_s:.0}s)"));
+    }
 }
 
 /// How one attempt of one cell ended.
@@ -330,7 +371,7 @@ fn run_cell<'scope, 'env: 'scope>(
 
     let finish = |record: RunRecord| {
         *ctx.slots[index].lock().expect("slot poisoned") = Some(record);
-        ctx.completed.fetch_add(1, Ordering::Relaxed);
+        ctx.cell_done();
     };
     let record =
         |outcome: Outcome, from_cache: bool, telemetry: Option<SessionReport>, attempts: u32| {
@@ -364,7 +405,7 @@ fn run_cell<'scope, 'env: 'scope>(
         return;
     }
 
-    if !opts.force && !opts.telemetry.enabled() && !opts.bypass_cache_reads {
+    if !opts.force && !opts.telemetry.enabled() {
         if let Some(hit) = ctx.store.and_then(|s| s.load(&key)) {
             finish(record(Outcome::Done(hit.artifact), true, None, 0));
             return;
@@ -454,6 +495,17 @@ fn run_cell<'scope, 'env: 'scope>(
     finish(record(outcome, false, telemetry, attempt));
 }
 
+/// Takes configs off the shared cursor until it passes the end.
+fn work<'scope, 'env: 'scope>(ctx: &SweepCtx<'env>, scope: &'scope Scope<'scope, 'env>) {
+    loop {
+        let index = ctx.cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= ctx.configs.len() {
+            return;
+        }
+        run_cell(ctx, index, scope);
+    }
+}
+
 /// Runs every config of `exp`, in parallel, through the cache.
 ///
 /// Records are returned in `configs` order regardless of scheduling.
@@ -466,102 +518,38 @@ pub fn execute(
     store: Option<&ResultStore>,
     opts: &ExecOptions,
 ) -> Vec<RunRecord> {
-    let slots: Vec<Mutex<Option<RunRecord>>> = configs.iter().map(|_| Mutex::new(None)).collect();
     let threads = opts.threads.clamp(1, configs.len().max(1));
-
-    // Per-worker deques seeded round-robin, plus every sibling's stealer.
-    let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
-    for (i, _) in configs.iter().enumerate() {
-        workers[i % threads].push(i);
-    }
 
     // Panics inside `run` are part of normal sweep operation; the gate
     // hook silences them on exactly the supervised cell threads (see
-    // `sim_core::supervise`) — unsupervised threads keep the loud
-    // default, unlike the old globally-swallowing hook swap.
+    // `sim_core::supervise`) — unsupervised threads keep the loud default.
     sim_core::install_panic_gate();
-    let completed = AtomicUsize::new(0);
-    let events = AtomicU64::new(0);
-    let abort = AbortState(Mutex::new(None));
+    let started = Instant::now();
     let ctx = SweepCtx {
         exp,
         configs,
         master_seed,
         store,
         opts,
-        slots: &slots,
-        completed: &completed,
-        events: &events,
-        abort: &abort,
+        slots: configs.iter().map(|_| Mutex::new(None)).collect(),
+        cursor: AtomicUsize::new(0),
+        completed: AtomicUsize::new(0),
+        events: AtomicU64::new(0),
+        started,
+        next_progress: Mutex::new(started + PROGRESS_AFTER),
+        abort: AbortState(Mutex::new(None)),
     };
 
     std::thread::scope(|scope| {
-        // Progress reporter: silent for quick sweeps, then a periodic
-        // stderr line (cells done, events/s, ETA) for long ones. It only
-        // reads counters — progress is wall-clock and must never become
-        // trace or artifact material.
-        {
-            let ctx = &ctx;
-            let total = configs.len();
-            scope.spawn(move || {
-                let started = Instant::now();
-                loop {
-                    let done = ctx.completed.load(Ordering::Relaxed);
-                    if done >= total {
-                        break;
-                    }
-                    let elapsed = started.elapsed();
-                    if elapsed >= PROGRESS_AFTER && done > 0 {
-                        let secs = elapsed.as_secs_f64();
-                        let rate = done as f64 / secs;
-                        let eta_s = (total - done) as f64 / rate;
-                        // Trace-event throughput only exists with
-                        // telemetry on; otherwise the line is cells+ETA.
-                        let events = ctx.events.load(Ordering::Relaxed);
-                        let rate_part = if events > 0 {
-                            format!("{:.0} ev/s, ", events as f64 / secs)
-                        } else {
-                            String::new()
-                        };
-                        ragnar_telemetry::progress(format!(
-                            "{}/{} cells ({rate_part}ETA {:.0}s)",
-                            done, total, eta_s
-                        ));
-                    }
-                    std::thread::sleep(PROGRESS_PERIOD);
-                }
-            });
+        let ctx = &ctx;
+        for _ in 1..threads {
+            scope.spawn(move || work(ctx, scope));
         }
-        for worker in &workers {
-            let ctx = &ctx;
-            let stealers = &stealers;
-            scope.spawn(move || {
-                loop {
-                    // Own deque first, then steal from siblings.
-                    let task = worker
-                        .pop()
-                        .or_else(|| stealers.iter().find_map(|s| s.steal().success()));
-                    match task {
-                        Some(index) => run_cell(ctx, index, scope),
-                        None => {
-                            // All deques observed empty: if every config
-                            // is accounted for, we are done; otherwise a
-                            // sibling still holds in-flight work that
-                            // might never produce more tasks here, so
-                            // yield and re-scan.
-                            if ctx.completed.load(Ordering::Relaxed) >= configs.len() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            });
-        }
+        // The caller is the last worker.
+        work(ctx, scope);
     });
 
-    slots
+    ctx.slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
@@ -694,6 +682,53 @@ mod tests {
             },
         );
         assert!(serial.iter().zip(&other).all(|(a, b)| a.seed != b.seed));
+    }
+
+    /// Renders the thread each cell ran on.
+    struct WhereRan;
+
+    impl Experiment for WhereRan {
+        fn name(&self) -> &'static str {
+            "where-ran-unit"
+        }
+        fn params(&self, _cli: &Cli) -> Vec<Config> {
+            (0..8u64).map(|i| Config::new().with("i", i)).collect()
+        }
+        fn run(&self, _config: &Config, _seed: u64) -> Result<Artifact, String> {
+            Ok(Artifact::text(format!("{:?}", std::thread::current().id())))
+        }
+    }
+
+    fn where_ran(threads: usize) -> Vec<RunRecord> {
+        let opts = ExecOptions {
+            threads,
+            ..Default::default()
+        };
+        execute(&WhereRan, &WhereRan.params(&Cli::default()), 0, None, &opts)
+    }
+
+    /// A sweep of no-op cells returns as soon as its last cell ends:
+    /// nothing in the executor sleeps or polls.
+    #[test]
+    fn quick_sweep_returns_without_waiting() {
+        let t0 = Instant::now();
+        assert_eq!(where_ran(2).len(), 8);
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "8 no-op cells took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn one_thread_runs_inline_on_the_caller() {
+        let caller = format!("{:?}", std::thread::current().id());
+        for r in where_ran(1) {
+            assert_eq!(
+                r.outcome.artifact().map(|a| a.rendered.as_str()),
+                Some(caller.as_str())
+            );
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! * [`Experiment`] — the trait an experiment implements: a name, a
 //!   parameter space ([`Experiment::params`]) and a per-config
 //!   [`Experiment::run`].
-//! * [`executor`] — a work-stealing parallel sweep executor with
+//! * [`executor`] — a parallel sweep executor whose workers (the
+//!   caller among them) take configs off one shared cursor, with
 //!   deterministic per-config seed derivation (results are identical at
-//!   any `--threads`) and per-config panic isolation.
+//!   any `--threads`), per-config panic isolation and a worker-printed
+//!   `progress:` line for sweeps longer than 2 s.
 //! * [`cache`] — a content-addressed result store under `results/`:
 //!   each cell is keyed by a hash of (experiment, config, seed, code
 //!   version), making re-runs incremental and interrupted sweeps
