@@ -25,22 +25,26 @@ for chaos_seed in 1 2 3; do
         --quick --no-cache --chaos-seed "$chaos_seed" > /dev/null
 done
 
+# A throwaway directory for the smokes' output files, so neither the
+# captured results/ nor a fixed /tmp path is overwritten.
+smoke_results=$(mktemp -d)
+
 echo "== trace smoke: fig4_contention --trace emits valid JSON, digest unchanged"
+trace_file="$smoke_results/trace.json"
 trace_out=$(cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-    --quick --no-cache --trace /tmp/ragnar-ci-trace.json)
+    --quick --no-cache --trace "$trace_file")
 baseline_out=$(cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
     --quick --no-cache)
 # The trace file must exist, be non-trivial, and read as a Chrome
 # trace_event document.
-test -s /tmp/ragnar-ci-trace.json
-grep -q '"traceEvents":\[' /tmp/ragnar-ci-trace.json
-grep -q '"ph":"X"' /tmp/ragnar-ci-trace.json
+test -s "$trace_file"
+grep -q '"traceEvents":\[' "$trace_file"
+grep -q '"ph":"X"' "$trace_file"
 # Tracing must not move the artifact digest on the manifest line.
 trace_digest=$(printf '%s\n' "$trace_out" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
 baseline_digest=$(printf '%s\n' "$baseline_out" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
 test -n "$trace_digest"
 test "$trace_digest" = "$baseline_digest"
-rm -f /tmp/ragnar-ci-trace.json
 
 echo "== cluster smoke: noisy_neighbor digest is thread-count invariant"
 nn_t1=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \
@@ -80,8 +84,6 @@ test "$prof_digest" = "$baseline_digest"
 printf '%s\n' "$prof_out" | grep -q '^profile: '
 
 echo "== run-report smoke: report.json / report.md carry the documented shape"
-# A throwaway results directory, so the captured results/ stay as they are.
-smoke_results=$(mktemp -d)
 cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
     --quick --force --metrics --profile --results "$smoke_results" > /dev/null
 smoke_report="$smoke_results/fig4_contention/report.json"

@@ -77,11 +77,6 @@ pub fn fmt_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Prints a markdown-style table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", fmt_table(headers, rows));
-}
-
 /// Formats a percentage.
 pub fn fmt_pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)

@@ -66,6 +66,7 @@ fn full_telemetry() -> TelemetrySpec {
         trace: true,
         filter: TargetSet::ALL,
         metrics: true,
+        monitors: None,
     }
 }
 

@@ -122,11 +122,6 @@ impl WrLedger {
         assert!(prev.is_none(), "wr_id {wr_id} posted twice to the ledger");
     }
 
-    /// Number of WRs posted so far.
-    pub fn posted_count(&self) -> usize {
-        self.posted.len()
-    }
-
     /// Records a completion.
     ///
     /// # Errors

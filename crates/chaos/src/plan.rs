@@ -14,7 +14,7 @@ use sim_core::{SimDuration, SimRng, SimTime};
 /// so "link" and "host" coincide. An event matches a packet when the
 /// selector is [`LinkSelector::Any`] or names the packet's source *or*
 /// destination host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkSelector {
     /// Every link in the fabric.
     Any,
@@ -33,7 +33,7 @@ impl LinkSelector {
 }
 
 /// The typed fault a [`FaultEvent`] injects while active.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Drop each matching packet with probability `rate`.
     LossBurst {
@@ -81,7 +81,7 @@ impl FaultKind {
 
 /// One scheduled fault: a kind, a link selector, and an active window
 /// `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Link(s) the fault applies to.
     pub link: LinkSelector,
@@ -127,7 +127,7 @@ impl Default for PlanParams {
 }
 
 /// A deterministic, serializable schedule of fault events.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the injector's probabilistic draws (loss, duplication,
     /// corruption, reorder offsets). Two installs of the same plan see
@@ -234,8 +234,8 @@ impl FaultPlan {
 
     /// Serializes to the plan text format (see [`FaultPlan::parse`]).
     ///
-    /// The vendored `serde` is a marker-only stub, so plans use their own
-    /// line-based format; `parse(to_text(p)) == p` is unit-tested.
+    /// The workspace has no serialization dependency, so plans use their
+    /// own line-based format; `parse(to_text(p)) == p` is unit-tested.
     pub fn to_text(&self) -> String {
         use core::fmt::Write as _;
         let mut s = String::new();

@@ -22,7 +22,7 @@ fn main() {
 
     // Install a tracing session on this thread: every simulation, NIC,
     // probe and injector constructed inside `run` picks it up ambiently.
-    let session = Session::ring(TargetSet::ALL, 1 << 20, true);
+    let session = Session::new(TargetSet::ALL, 1 << 20, true);
     let guard = session.install();
     let result = run(kind, &bits, &cfg);
     drop(guard);

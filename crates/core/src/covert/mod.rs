@@ -69,7 +69,7 @@ pub fn parse_bits(s: &str) -> Vec<bool> {
 }
 
 /// Evaluation of one covert-channel run (one column of Table V).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChannelReport {
     /// Device the channel ran on.
     pub device: DeviceKind,

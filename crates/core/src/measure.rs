@@ -156,11 +156,6 @@ impl SaturatingFlow {
         }
     }
 
-    /// Replaces the address pattern (covert senders switch per bit).
-    pub fn set_pattern(&mut self, pattern: AddressPattern) {
-        self.pattern = pattern;
-    }
-
     fn request(&mut self) -> WorkRequest {
         let t = self.pattern.target(self.seq);
         self.seq += 1;

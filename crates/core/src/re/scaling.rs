@@ -8,7 +8,7 @@ use crate::re::contention::{measure_pair, run_flows, FlowSpec, PairConfig};
 use rdma_verbs::{DeviceProfile, Opcode};
 
 /// One point of a solo-throughput scaling curve.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScalingPoint {
     /// The swept parameter value (QP count or message bytes).
     pub x: u64,
@@ -57,7 +57,7 @@ pub fn size_scaling(
 
 /// One row of a contention-footprint sweep: how much damage flow B does
 /// to a fixed probe flow A, as B's parameter is swept.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FootprintPoint {
     /// B's swept parameter.
     pub x: u64,

@@ -10,13 +10,13 @@
 //! --force           recompute every config, ignoring the result cache
 //! --no-cache        neither read nor write the result cache
 //! --results <dir>   result-store root (default ./results)
-//! --chaos-seed <u64>  generate + install a seeded fault plan (experiments
-//!                     that support fault injection; changes cache keys)
+//! --chaos-seed <u64>  generate + install a seeded fault plan (changes
+//!                     cache keys)
 //! --chaos-plan <file> install a fault plan from a serialized plan file
 //! --topology <spec> run on a multi-hop fabric (`p2p:hosts=N`,
 //!                   `leaf-spine:hosts=H,leaves=L,spines=S`,
-//!                   `fat-tree:k=K`; experiments that support fabrics;
-//!                   canonicalized into configs, so it changes cache keys)
+//!                   `fat-tree:k=K`; canonicalized into configs, so it
+//!                   changes cache keys)
 //! --trace <path>    write a Perfetto/Chrome trace_event JSON timeline of
 //!                   the whole run (telemetry; never changes cache keys)
 //! --trace-filter <targets>  comma-separated layer filter for --trace
@@ -35,14 +35,20 @@
 //!                   that fail every attempt are quarantined with a repro
 //!                   command in the manifest (never part of cache keys)
 //! --monitors <policy>  run cells under the online invariant monitors
-//!                   (log, fail-cell or abort-run); forces cells to
-//!                   execute (cache reads bypassed) but artifacts and keys
-//!                   are unchanged — monitors observe, never perturb
+//!                   (log, fail-cell or abort-run); like --trace and
+//!                   --metrics it makes cells execute (cache reads
+//!                   bypassed) but artifacts and keys are unchanged —
+//!                   monitors observe, never perturb
 //! --only <substr>   run only configs whose label contains the substring
 //!                   (the spelling `--only "<label>"` is what quarantined
 //!                   cells' repro commands use)
 //! --help            usage
 //! ```
+//!
+//! An experiment that ignores `--topology` or the chaos flags (none of
+//! its configs carries the `topology` or `chaos_seed`/`chaos_plan` key)
+//! rejects them instead of silently serving fault-free, single-switch
+//! results.
 //!
 //! Experiment-specific switches (fig4's `--full`, fig13's `--coarse`,
 //! table5's `--bits <n>`, …) are passed through and queried via
@@ -54,12 +60,12 @@ use std::time::Instant;
 
 use crate::cache::ResultStore;
 use crate::executor::{self, ExecOptions, TelemetrySpec};
-use crate::experiment::{Experiment, Outcome, RunRecord};
+use crate::experiment::{Config, Experiment, Outcome, RunRecord};
 use crate::manifest::Manifest;
 use crate::report::RunReport;
 use crate::value::Value;
 use ragnar_telemetry::profile::{self, Phase};
-use ragnar_telemetry::{chrome_trace_json, TargetSet, TraceCell};
+use ragnar_telemetry::{chrome_trace_json, MonitorConfig, TargetSet, TraceCell, ViolationPolicy};
 use ragnar_topology::TopologySpec;
 
 /// Parsed shared command line.
@@ -112,7 +118,7 @@ pub struct Cli {
     pub retries: u32,
     /// Online invariant-monitor policy (`--monitors`), validated at
     /// parse time. `None` (default) runs unmonitored.
-    pub monitors: Option<sim_core::ViolationPolicy>,
+    pub monitors: Option<ViolationPolicy>,
     /// Label-substring filter (`--only`); configs whose label does not
     /// contain it are dropped before the sweep.
     pub only: Option<String>,
@@ -205,7 +211,7 @@ impl Cli {
                     // Validated here so a typo is a usage error, not a
                     // surprise an hour into a sweep.
                     let raw = take_value(&mut it, "--monitors")?;
-                    let policy = sim_core::ViolationPolicy::parse(&raw)
+                    let policy = ViolationPolicy::parse(&raw)
                         .map_err(|e| CliError(format!("--monitors: {e}")))?;
                     cli.monitors = Some(policy);
                 }
@@ -293,32 +299,26 @@ pub fn run_main(exp: &dyn Experiment) -> ExitCode {
 /// concerns. Returns the number of failed configs. Used by binaries
 /// (via [`run_main`]) and integration tests alike.
 pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
-    // The monitor and profiler knobs are process-wide — installed for
-    // the sweep, reset on every exit path by the guard below so a later
+    // The profiler is process-wide (its registry aggregates across
+    // threads); the guard disarms it on every exit path so a later
     // in-process invocation (tests, batch drivers) starts clean.
-    struct AmbientReset;
-    impl Drop for AmbientReset {
+    struct ProfilerReset;
+    impl Drop for ProfilerReset {
         fn drop(&mut self) {
-            sim_core::set_ambient_monitors(None);
             profile::set_enabled(false);
         }
     }
-    let _ambient_reset = AmbientReset;
+    let _profiler_reset = ProfilerReset;
     if cli.profile {
         profile::reset();
         profile::set_enabled(true);
-    }
-    if let Some(policy) = cli.monitors {
-        sim_core::set_ambient_monitors(Some(sim_core::MonitorConfig {
-            policy,
-            ..Default::default()
-        }));
     }
     let t_start = Instant::now();
     let mut stages: Vec<(String, f64)> = Vec::new();
 
     let t0 = Instant::now();
     let mut configs = exp.params(cli);
+    reject_ignored_flags(exp, cli, &configs)?;
     if let Some(needle) = &cli.only {
         configs.retain(|c| c.label().contains(needle.as_str()));
         if configs.is_empty() {
@@ -355,13 +355,15 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
         store.as_ref(),
         &ExecOptions {
             threads: cli.threads,
-            // Monitors exist to *exercise* cells; a cache hit would skip
-            // the work they are meant to observe.
-            force: cli.force || cli.monitors.is_some(),
+            force: cli.force,
             telemetry: TelemetrySpec {
                 trace: cli.trace.is_some(),
                 filter,
                 metrics: cli.metrics,
+                monitors: cli.monitors.map(|policy| MonitorConfig {
+                    policy,
+                    ..Default::default()
+                }),
             },
             cell_timeout: cli.cell_timeout_ms.map(std::time::Duration::from_millis),
             retries: cli.retries,
@@ -462,6 +464,31 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
         }
     }
     Ok(manifest.failed)
+}
+
+/// Fails when a config-shaping flag was given but no config carries its
+/// key: the experiment ignores that flag, and running anyway would serve
+/// unflagged results under the unflagged cache key.
+fn reject_ignored_flags(exp: &dyn Experiment, cli: &Cli, configs: &[Config]) -> Result<(), String> {
+    const CHAOS_KEYS: &[&str] = &["chaos_seed", "chaos_plan"];
+    let flags = [
+        ("--topology", cli.topology.is_some(), &["topology"][..]),
+        ("--chaos-seed", cli.chaos_seed.is_some(), CHAOS_KEYS),
+        ("--chaos-plan", cli.chaos_plan.is_some(), CHAOS_KEYS),
+    ];
+    for (flag, given, keys) in flags {
+        if given
+            && !configs
+                .iter()
+                .any(|c| keys.iter().any(|k| c.get(k).is_some()))
+        {
+            return Err(format!(
+                "{flag} is not supported by '{}' (none of its configs depends on it)",
+                exp.name()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Merges per-cell trace events (config order) into one Chrome
@@ -580,17 +607,47 @@ mod tests {
         ]);
         assert_eq!(cli.cell_timeout_ms, Some(5000));
         assert_eq!(cli.retries, 3);
-        assert_eq!(cli.monitors, Some(sim_core::ViolationPolicy::FailCell));
+        assert_eq!(cli.monitors, Some(ViolationPolicy::FailCell));
         assert_eq!(cli.only.as_deref(), Some("op=read"));
         // Retries clamp instead of erroring.
         assert_eq!(parse(&["--retries", "99"]).retries, 16);
         for (raw, policy) in [
-            ("log", sim_core::ViolationPolicy::Log),
-            ("fail-cell", sim_core::ViolationPolicy::FailCell),
-            ("abort-run", sim_core::ViolationPolicy::AbortRun),
+            ("log", ViolationPolicy::Log),
+            ("fail-cell", ViolationPolicy::FailCell),
+            ("abort-run", ViolationPolicy::AbortRun),
         ] {
             assert_eq!(parse(&["--monitors", raw]).monitors, Some(policy));
         }
+    }
+
+    /// Passes only when its cell runs under `--monitors abort-run`.
+    struct MonitorProbe;
+
+    impl Experiment for MonitorProbe {
+        fn name(&self) -> &'static str {
+            "monitor-probe-unit"
+        }
+        fn params(&self, _cli: &Cli) -> Vec<Config> {
+            vec![Config::new().with("i", 0u64)]
+        }
+        fn run(&self, _config: &Config, _seed: u64) -> Result<crate::Artifact, String> {
+            match ragnar_telemetry::RunCtx::current().monitors {
+                Some(m) if m.policy == ViolationPolicy::AbortRun => {
+                    Ok(crate::Artifact::text("monitored\n"))
+                }
+                other => Err(format!("cell ran under monitors {other:?}")),
+            }
+        }
+    }
+
+    /// `--monitors` reaches the cell through its run context and leaves
+    /// nothing behind: at `--threads 1` the cell runs on this very
+    /// thread, which carries no monitors once the sweep returns.
+    #[test]
+    fn monitors_reach_the_cell_and_leave_the_caller_clean() {
+        let cli = parse(&["--monitors", "abort-run", "--threads", "1", "--no-cache"]);
+        assert_eq!(run_with_cli(&MonitorProbe, &cli), Ok(0));
+        assert_eq!(ragnar_telemetry::RunCtx::current().monitors, None);
     }
 }
 

@@ -34,7 +34,8 @@
 //!   attempt is quarantined as a repeat offender and its record carries
 //!   a ready-to-paste minimal-repro command.
 //! * A panic message starting with `[monitor-abort]` (the
-//!   [`sim_core::ViolationPolicy::AbortRun`] spelling) trips a
+//!   [`ViolationPolicy::AbortRun`](ragnar_telemetry::ViolationPolicy::AbortRun)
+//!   spelling) trips a
 //!   sweep-wide abort: cells not yet started are recorded as
 //!   [`Outcome::Skipped`], already-running cells finish, and everything
 //!   completed so far is salvaged — per-cell results are persisted as
@@ -48,7 +49,8 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use ragnar_telemetry::{
-    ActorId, ArgValue, Event, EventKind, Session, SessionReport, Target, TargetSet,
+    ActorId, ArgValue, Event, EventKind, MonitorConfig, RunCtx, Session, SessionReport, Target,
+    TargetSet,
 };
 
 use crate::cache::ResultStore;
@@ -66,8 +68,9 @@ const PROGRESS_AFTER: Duration = Duration::from_secs(2);
 /// Minimum spacing between two progress lines.
 const PROGRESS_PERIOD: Duration = Duration::from_millis(500);
 
-/// What the executor should observe about each cell. Telemetry never
-/// enters configs or cache keys — it is an observer, not an input.
+/// What the executor should observe about each cell. None of it enters
+/// configs or cache keys — it is an observer, not an input. Every
+/// attempt runs under a [`RunCtx`] built from this spec.
 #[derive(Debug, Clone)]
 pub struct TelemetrySpec {
     /// Buffer structured trace events per cell.
@@ -76,6 +79,9 @@ pub struct TelemetrySpec {
     pub filter: TargetSet,
     /// Collect a per-cell metrics report.
     pub metrics: bool,
+    /// Run every simulation of the cell under the online invariant
+    /// monitors (`--monitors`).
+    pub monitors: Option<MonitorConfig>,
 }
 
 impl Default for TelemetrySpec {
@@ -84,22 +90,28 @@ impl Default for TelemetrySpec {
             trace: false,
             filter: TargetSet::ALL,
             metrics: false,
+            monitors: None,
         }
     }
 }
 
 impl TelemetrySpec {
-    /// Whether any observation is requested.
-    pub fn enabled(&self) -> bool {
-        self.trace || self.metrics
+    /// Whether any observation is requested. An observed cell always
+    /// executes: a cache hit would skip the work the tracer, metrics or
+    /// monitors are meant to observe.
+    pub fn observes(&self) -> bool {
+        self.trace || self.metrics || self.monitors.is_some()
     }
 
-    fn session(&self) -> Session {
-        if self.trace {
-            Session::ring(self.filter, TRACE_RING_CAPACITY, self.metrics)
+    /// The per-attempt session, when trace events or metrics are kept.
+    fn session(&self) -> Option<Session> {
+        let filter = if self.trace {
+            self.filter
         } else {
-            Session::metrics_only()
-        }
+            TargetSet::EMPTY
+        };
+        (self.trace || self.metrics)
+            .then(|| Session::new(filter, TRACE_RING_CAPACITY, self.metrics))
     }
 }
 
@@ -110,10 +122,10 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Recompute every config even when a cache entry matches.
     pub force: bool,
-    /// Per-cell observation. When enabled, cache reads are bypassed so
-    /// every cell actually executes under its session (telemetry can
-    /// only observe work that happens); cache writes still refresh the
-    /// store, and keys are unchanged — artifacts are telemetry-invariant.
+    /// Per-cell observation. When it [observes](TelemetrySpec::observes)
+    /// anything, cache reads are bypassed so every cell actually executes
+    /// under its run context; cache writes still refresh the store, and
+    /// keys are unchanged — artifacts are observation-invariant.
     pub telemetry: TelemetrySpec,
     /// Wall-clock watchdog per attempt. `None` (default) trusts cells
     /// to terminate; `Some(budget)` runs each attempt on its own thread
@@ -259,7 +271,8 @@ enum AttemptEnd {
     Died(Option<SessionReport>),
 }
 
-/// Runs one attempt, inline or under the watchdog.
+/// Runs one attempt, inline or under the watchdog, under the run
+/// context `opts.telemetry` describes.
 ///
 /// The telemetry session is owned by the *coordinator* side and only
 /// its handles cross into the attempt thread: when the watchdog fires,
@@ -273,13 +286,16 @@ fn run_attempt<'scope, 'env: 'scope>(
     opts: &'env ExecOptions,
     scope: &'scope Scope<'scope, 'env>,
 ) -> AttemptEnd {
-    let session = opts.telemetry.enabled().then(|| opts.telemetry.session());
-    let handles = session.as_ref().map(|s| (s.tracer(), s.metrics()));
+    let session = opts.telemetry.session();
+    let ctx = RunCtx {
+        monitors: opts.telemetry.monitors,
+        ..session.as_ref().map_or_else(RunCtx::default, Session::ctx)
+    };
     let body = move || {
         // Mark the thread supervised so the gate hook stays quiet: the
         // executor reports caught panics itself, with cell context.
         let _supervised = sim_core::supervised_section();
-        let _guard = handles.map(|(tracer, metrics)| ragnar_telemetry::install(tracer, metrics));
+        let _ctx = ctx.install();
         panic::catch_unwind(AssertUnwindSafe(|| exp.run(config, seed)))
     };
     match opts.cell_timeout {
@@ -405,7 +421,7 @@ fn run_cell<'scope, 'env: 'scope>(
         return;
     }
 
-    if !opts.force && !opts.telemetry.enabled() {
+    if !opts.force && !opts.telemetry.observes() {
         if let Some(hit) = ctx.store.and_then(|s| s.load(&key)) {
             finish(record(Outcome::Done(hit.artifact), true, None, 0));
             return;
@@ -893,8 +909,8 @@ mod tests {
                 cell_timeout: Some(Duration::from_millis(40)),
                 telemetry: TelemetrySpec {
                     trace: true,
-                    filter: TargetSet::ALL,
                     metrics: true,
+                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -938,8 +954,7 @@ mod tests {
                 retries: 1,
                 telemetry: TelemetrySpec {
                     trace: true,
-                    filter: TargetSet::ALL,
-                    metrics: false,
+                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -986,8 +1001,7 @@ mod tests {
                     retries: 1,
                     telemetry: TelemetrySpec {
                         trace: true,
-                        filter: TargetSet::ALL,
-                        metrics: false,
+                        ..Default::default()
                     },
                     ..Default::default()
                 },

@@ -113,6 +113,24 @@ fn second_invocation_is_all_cache_hits() {
     let _ = std::fs::remove_dir_all(&results);
 }
 
+/// A monitored sweep observes cells, so it executes every one of them
+/// (cache reads bypassed) and still reproduces the cached digest.
+#[test]
+fn monitored_sweep_executes_every_cell() {
+    let results = temp_results("monitored");
+    let exp = Counted::new(6);
+    run_with_cli(&exp, &cli(&results, 2, 7)).expect("first run");
+    let digest = manifest_digest(&results);
+
+    let mut monitored = cli(&results, 2, 7);
+    monitored.monitors = Some(ragnar_telemetry::ViolationPolicy::Log);
+    run_with_cli(&exp, &monitored).expect("monitored run");
+    assert_eq!(exp.runs.load(Ordering::SeqCst), 12);
+    assert_eq!(manifest_field(&results, "configs_cached"), 0);
+    assert_eq!(manifest_digest(&results), digest);
+    let _ = std::fs::remove_dir_all(&results);
+}
+
 #[test]
 fn cache_misses_on_config_seed_or_version_change() {
     let results = temp_results("cache-miss");

@@ -3,7 +3,7 @@
 use rnic_model::DeviceKind;
 
 /// Specification of one test host, mirroring Table II of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostSpec {
     /// Host label (H1–H3).
     pub name: &'static str,

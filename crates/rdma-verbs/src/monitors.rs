@@ -4,8 +4,9 @@
 //! The chaos oracles ([`ragnar_chaos::FabricStats::conserved`], the WR
 //! ledger) validate end states; a corrupted intermediate state that
 //! happens to re-balance by the end slips past them. Monitors close that
-//! gap: installed via [`sim_core::set_ambient_monitors`] (the harness
-//! `--monitors` flag), they ride the sequential event loop and evaluate
+//! gap: configured by the [`RunCtx`](ragnar_telemetry::RunCtx) a
+//! simulation is built under (the harness `--monitors` flag fills it in
+//! for every cell), they ride the sequential event loop and evaluate
 //!
 //! * **time monotonicity** — event timestamps never move backwards
 //!   (checked on every event; one comparison),
@@ -18,10 +19,10 @@
 //!   consistent),
 //!
 //! the last three on a configurable event cadence
-//! ([`sim_core::MonitorConfig::every_events`]) because they are
+//! ([`ragnar_telemetry::MonitorConfig::every_events`]) because they are
 //! O(capacity)/O(QPs), not O(1).
 //!
-//! Violations follow the configured [`sim_core::ViolationPolicy`]:
+//! Violations follow the configured [`ragnar_telemetry::ViolationPolicy`]:
 //! `Log` counts them (and bumps a `monitor.violations` telemetry
 //! counter), `FailCell` panics with a `[monitor]` prefix so the harness
 //! fails and retries the one cell, `AbortRun` panics with a
@@ -29,9 +30,9 @@
 //! sweep — the simulator itself is broken".
 
 use ragnar_chaos::FabricStats;
-use ragnar_telemetry::Metrics;
+use ragnar_telemetry::{Metrics, MonitorConfig, ViolationPolicy};
 use rnic_model::{PacketArena, Rnic};
-use sim_core::{MonitorConfig, SimTime, ViolationPolicy};
+use sim_core::SimTime;
 
 /// Live state of the online monitors for one simulation.
 #[derive(Debug, Clone)]

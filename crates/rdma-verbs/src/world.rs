@@ -396,7 +396,6 @@ struct World {
     next_qp: u32,
     next_mr: u32,
     next_pd: u32,
-    next_flow: u32,
     next_va: Vec<u64>,
     orphan_cqes: Vec<(HostId, Cqe)>,
     stopped: bool,
@@ -415,16 +414,16 @@ struct World {
     /// (the default) keeps the legacy single-switch wire path — and its
     /// digests — bit-identical.
     fabric_rt: Option<FabricRuntime>,
-    /// Ambient telemetry handles captured at construction; disabled
-    /// handles cost one branch per use.
+    /// Telemetry handles captured from the run context at construction;
+    /// disabled handles cost one branch per use.
     tracer: Tracer,
     metrics: Metrics,
     /// Order-sensitive digest folded over every processed event — the
     /// fingerprint that proves two runs executed the same event order.
     order: Digest64,
-    /// Online invariant monitors, captured from
-    /// [`sim_core::ambient_monitors`] at construction; `None` (the
-    /// default) keeps the event loop's hot path monitor-free.
+    /// Online invariant monitors, configured by the run context at
+    /// construction; `None` (the default) keeps the event loop's hot
+    /// path monitor-free.
     monitors: Option<crate::monitors::MonitorState>,
 }
 
@@ -944,6 +943,7 @@ impl Simulation {
     /// differential validation runs and the event-core benchmarks.
     /// Results are identical across backends for a given seed.
     pub fn with_backend(seed: u64, backend: QueueBackend) -> Self {
+        let ctx = ragnar_telemetry::RunCtx::current();
         Simulation {
             world: World {
                 queue: WorldQueue::new(backend),
@@ -957,7 +957,6 @@ impl Simulation {
                 next_qp: 1,
                 next_mr: 1,
                 next_pd: 1,
-                next_flow: 1,
                 next_va: Vec::new(),
                 orphan_cqes: Vec::new(),
                 stopped: false,
@@ -967,10 +966,10 @@ impl Simulation {
                 injector: None,
                 fabric: FabricStats::default(),
                 fabric_rt: None,
-                tracer: ragnar_telemetry::tracer(),
-                metrics: ragnar_telemetry::metrics(),
+                tracer: ctx.tracer,
+                metrics: ctx.metrics,
                 order: Digest64::new(),
-                monitors: sim_core::ambient_monitors().map(crate::monitors::MonitorState::new),
+                monitors: ctx.monitors.map(crate::monitors::MonitorState::new),
             },
             apps: Vec::new(),
             started_count: 0,
@@ -1033,13 +1032,6 @@ impl Simulation {
         let pd = PdId(self.world.next_pd);
         self.world.next_pd += 1;
         pd
-    }
-
-    /// Allocates a fresh flow label.
-    pub fn alloc_flow(&mut self) -> FlowId {
-        let f = FlowId(self.world.next_flow);
-        self.world.next_flow += 1;
-        f
     }
 
     /// Registers a 2 MiB-aligned MR of `len` bytes on `host` (the paper's
@@ -1205,11 +1197,6 @@ impl Simulation {
     /// not installing) a plan never perturbs workload randomness.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         self.world.injector = Some(FaultInjector::new(plan.clone()));
-    }
-
-    /// Removes the installed fault plan, if any.
-    pub fn clear_fault_plan(&mut self) {
-        self.world.injector = None;
     }
 
     /// Fabric-wide packet conservation ledger (sent, delivered, dropped,
@@ -1440,12 +1427,6 @@ impl Simulation {
         self.world.arena.stats()
     }
 
-    /// Packets currently alive in the arena — zero at quiescence, when
-    /// every transmitted packet has been consumed or dropped.
-    pub fn packet_arena_live(&self) -> u64 {
-        self.world.arena.live()
-    }
-
     /// Order-sensitive digest over every processed event `(timestamp,
     /// kind, principal)`. Bit-equal digests mean two runs executed the
     /// same event order — across queue backends, thread counts and
@@ -1514,11 +1495,6 @@ impl Ctx<'_> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.world.now()
-    }
-
-    /// This app's id.
-    pub fn app_id(&self) -> AppId {
-        self.app
     }
 
     /// Posts a work request.

@@ -3,32 +3,21 @@
 //! planted ledger/state bug is caught and handled per the configured
 //! violation policy.
 
+use ragnar_telemetry::{Installed, MonitorConfig, RunCtx, ViolationPolicy};
 use rdma_verbs::{
     AccessFlags, App, ConnectOptions, Ctx, DeviceProfile, HostId, MrHandle, QpHandle, QpNum,
     Simulation, WorkRequest,
 };
-use sim_core::{MonitorConfig, SimDuration, SimTime, ViolationPolicy};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use sim_core::{SimDuration, SimTime};
 
-/// Ambient monitor config is process-global and read at `Simulation`
-/// construction; tests serialize on this lock and restore `None` on
-/// drop.
-static AMBIENT: Mutex<()> = Mutex::new(());
-
-struct AmbientGuard<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl<'a> AmbientGuard<'a> {
-    fn install(cfg: Option<MonitorConfig>) -> AmbientGuard<'a> {
-        let g = AMBIENT.lock().unwrap_or_else(PoisonError::into_inner);
-        sim_core::set_ambient_monitors(cfg);
-        AmbientGuard(g)
+/// Installs a run context carrying `monitors` on this thread. Contexts
+/// are thread-local, so the tests run in parallel with no lock.
+fn monitored(monitors: Option<MonitorConfig>) -> Installed {
+    RunCtx {
+        monitors,
+        ..RunCtx::default()
     }
-}
-
-impl Drop for AmbientGuard<'_> {
-    fn drop(&mut self) {
-        sim_core::set_ambient_monitors(None);
-    }
+    .install()
 }
 
 fn cfg(policy: ViolationPolicy, every_events: u64) -> MonitorConfig {
@@ -87,13 +76,12 @@ fn build(seed: u64) -> (Simulation, HostId, QpNum) {
 fn clean_run_under_monitors_is_silent_and_bit_identical() {
     let horizon = SimTime::from_micros(200);
     let baseline = {
-        let _guard = AmbientGuard::install(None);
         let (mut sim, _, _) = build(5);
         sim.run_until(horizon);
         (sim.events_processed(), sim.order_digest())
     };
     for every in [1u64, 7, 1024] {
-        let _guard = AmbientGuard::install(Some(cfg(ViolationPolicy::AbortRun, every)));
+        let _guard = monitored(Some(cfg(ViolationPolicy::AbortRun, every)));
         let (mut sim, _, _) = build(5);
         sim.run_until(horizon);
         assert_eq!(
@@ -109,7 +97,7 @@ fn clean_run_under_monitors_is_silent_and_bit_identical() {
 /// per cadence check) and the run completes.
 #[test]
 fn planted_arena_skew_is_logged() {
-    let _guard = AmbientGuard::install(Some(cfg(ViolationPolicy::Log, 8)));
+    let _guard = monitored(Some(cfg(ViolationPolicy::Log, 8)));
     let (mut sim, _, _) = build(11);
     sim.debug_skew_arena_ledger();
     sim.run_until(SimTime::from_micros(200));
@@ -123,7 +111,7 @@ fn planted_arena_skew_is_logged() {
 /// the harness maps to a per-cell failure.
 #[test]
 fn planted_arena_skew_fails_the_cell() {
-    let _guard = AmbientGuard::install(Some(cfg(ViolationPolicy::FailCell, 8)));
+    let _guard = monitored(Some(cfg(ViolationPolicy::FailCell, 8)));
     let (mut sim, _, _) = build(13);
     sim.debug_skew_arena_ledger();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -139,7 +127,7 @@ fn planted_arena_skew_fails_the_cell() {
 /// `[monitor-abort]` prefix the harness maps to a whole-sweep abort.
 #[test]
 fn planted_fabric_skew_aborts_the_run() {
-    let _guard = AmbientGuard::install(Some(cfg(ViolationPolicy::AbortRun, 4)));
+    let _guard = monitored(Some(cfg(ViolationPolicy::AbortRun, 4)));
     let (mut sim, _, _) = build(17);
     sim.debug_skew_fabric_ledger();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -155,7 +143,7 @@ fn planted_fabric_skew_aborts_the_run() {
 /// QP-legality monitor.
 #[test]
 fn planted_illegal_qp_state_is_caught() {
-    let _guard = AmbientGuard::install(Some(cfg(ViolationPolicy::Log, 4)));
+    let _guard = monitored(Some(cfg(ViolationPolicy::Log, 4)));
     let (mut sim, host, qp) = build(19);
     sim.run_until(SimTime::from_micros(5));
     sim.debug_skew_qp(host, qp);
@@ -166,11 +154,45 @@ fn planted_illegal_qp_state_is_caught() {
     );
 }
 
-/// Without ambient monitors there is no monitor state at all.
+/// Without a monitor config in the run context there is no monitor
+/// state at all.
 #[test]
 fn no_monitors_without_ambient_config() {
-    let _guard = AmbientGuard::install(None);
     let (mut sim, _, _) = build(23);
     sim.run_until(SimTime::from_micros(50));
     assert_eq!(sim.monitor_violations(), None);
+}
+
+/// A run context stays on its thread: two simulations built at the same
+/// time, one under `FailCell` monitors with a planted fabric skew, one
+/// with no context. Only the first trips; the second has no monitor
+/// state and runs clean.
+#[test]
+fn contexts_do_not_leak_across_threads() {
+    let built = std::sync::Barrier::new(2);
+    let horizon = SimTime::from_micros(200);
+    std::thread::scope(|s| {
+        let monitored_run = s.spawn(|| {
+            let _ctx = monitored(Some(cfg(ViolationPolicy::FailCell, 4)));
+            let (mut sim, _, _) = build(29);
+            built.wait();
+            sim.debug_skew_fabric_ledger();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_until(horizon);
+            }))
+            .expect_err("monitor should have tripped");
+            sim_core::panic_payload_message(err.as_ref())
+        });
+        let bare_run = s.spawn(|| {
+            let (mut sim, _, _) = build(29);
+            built.wait();
+            assert_eq!(sim.monitor_violations(), None, "monitors leaked in");
+            sim.run_until(horizon);
+            sim.events_processed()
+        });
+        let msg = monitored_run.join().expect("monitored thread");
+        assert!(msg.starts_with("[monitor] "), "got: {msg}");
+        assert!(msg.contains("packet conservation"), "got: {msg}");
+        assert!(bare_run.join().expect("bare thread") > 0);
+    });
 }

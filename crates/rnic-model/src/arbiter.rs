@@ -205,11 +205,6 @@ impl EgressScheduler {
         self.weights = weights;
     }
 
-    /// Current ETS weights.
-    pub fn ets_weights(&self) -> [u32; TrafficClass::COUNT] {
-        self.weights
-    }
-
     /// Pauses a traffic class until `until` (PFC hook for the defense
     /// crate).
     pub fn pause(&mut self, tc: TrafficClass, until: SimTime) {
@@ -223,11 +218,6 @@ impl EgressScheduler {
             EgressClass::TxRequest => self.tx.queues[tc].push_back(item),
             EgressClass::RxResponse => self.rx.queues[tc].push_back(item),
         }
-    }
-
-    /// True while a packet is on the wire.
-    pub fn is_busy(&self) -> bool {
-        self.busy
     }
 
     /// Marks the in-flight packet finished (called from the `EgressDone`

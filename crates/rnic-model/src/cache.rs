@@ -18,7 +18,6 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    ways: usize,
     sets: usize,
     /// `sets × ways` tags; `None` = invalid. Most-recently-used first
     /// within each set (small `ways`, so a shift is cheap and exactly LRU).
@@ -42,22 +41,11 @@ impl SetAssocCache {
         );
         let sets = entries / ways;
         SetAssocCache {
-            ways,
             sets,
             lines: vec![vec![None; ways]; sets],
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Number of sets.
-    pub fn set_count(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn way_count(&self) -> usize {
-        self.ways
     }
 
     fn set_of(&self, tag: u64) -> usize {

@@ -12,7 +12,6 @@
 //! NIC — which is exactly why the paper's Grain-IV attacks are stealthy.
 
 use crate::types::{FlowId, Opcode, TrafficClass};
-use serde::{Deserialize, Serialize};
 use sim_core::FxHashMap;
 
 /// Monotonic counters for one NIC.
@@ -117,7 +116,7 @@ impl NicCounters {
 /// A point-in-time copy of the rate-relevant counters, including the
 /// per-direction dropped-packet attribution and retry/NAK budget
 /// observables of the error-state machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Transmitted wire bytes.
     pub tx_bytes: u64,

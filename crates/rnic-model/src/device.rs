@@ -9,7 +9,7 @@
 use sim_core::SimDuration;
 
 /// The ConnectX generations evaluated in the paper (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// ConnectX-4: 25 Gbps, PCIe 3.0 x8.
     ConnectX4,
@@ -48,7 +48,7 @@ impl core::fmt::Display for DeviceKind {
 /// Construct via the presets ([`DeviceProfile::connectx4`] …) and tweak
 /// fields for ablation studies. All rates are in the stated units; all
 /// latencies are [`SimDuration`]s.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Which generation this profile models.
     pub kind: DeviceKind,

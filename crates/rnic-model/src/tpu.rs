@@ -190,11 +190,6 @@ impl TranslationUnit {
         self.accesses
     }
 
-    /// Hit ratio of the MPT cache.
-    pub fn mpt_hit_ratio(&self) -> f64 {
-        self.mpt_cache.hit_ratio()
-    }
-
     /// Direct access to the MPT cache (used by the Pythia baseline and
     /// defenses).
     pub fn mpt_cache(&self) -> &SetAssocCache {

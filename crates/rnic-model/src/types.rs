@@ -5,52 +5,30 @@ use core::fmt;
 
 /// Identifies a host (and, one-to-one in this model, its RNIC and switch
 /// port) within a simulated fabric.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
 /// A queue-pair number, unique per host.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QpNum(pub u32);
 
 /// A memory-region remote key, unique per host.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MrKey(pub u32);
 
 /// A protection-domain identifier, unique per host.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PdId(pub u32);
 
 /// An application-level flow label used for counters and the NoC
 /// activation heuristic. Distinct logical traffic streams (e.g. the two
 /// competing flows of Fig. 4) carry distinct labels.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u32);
 
 /// An Ethernet traffic class (0–7), as configured by the `mlnx_qos`
 /// equivalent in the verbs layer.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TrafficClass(pub u8);
 
 impl TrafficClass {
@@ -74,9 +52,7 @@ impl TrafficClass {
 }
 
 /// RDMA operation codes supported by the model.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Opcode {
     /// One-sided RDMA Read.
     Read,
@@ -161,9 +137,7 @@ impl fmt::Display for Opcode {
 
 /// MR access permissions (a flag set; kept as explicit bools rather than a
 /// bitflags dependency).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct AccessFlags {
     /// Remote peers may RDMA-Read this MR.
     pub remote_read: bool,
@@ -204,7 +178,7 @@ impl AccessFlags {
 }
 
 /// Why the responder refused an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NakReason {
     /// The remote key did not match any registered MR.
     InvalidMrKey,

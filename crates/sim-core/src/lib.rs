@@ -44,7 +44,6 @@
 mod calendar;
 mod digest;
 mod fxmap;
-mod monitor;
 mod queue;
 mod resource;
 mod rng;
@@ -55,7 +54,6 @@ mod time;
 pub use calendar::CalendarQueue;
 pub use digest::Digest64;
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
-pub use monitor::{ambient_monitors, set_ambient_monitors, MonitorConfig, ViolationPolicy};
 pub use queue::{EventHandle, EventSchedule, ReferenceQueue};
 pub use supervise::{
     install_panic_gate, panic_payload_message, supervised_section, thread_is_supervised,

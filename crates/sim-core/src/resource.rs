@@ -90,13 +90,6 @@ impl ServiceResource {
         }
         (self.busy.as_picos() as f64 / now.as_picos() as f64).min(1.0)
     }
-
-    /// Resets the accumulated busy-time/job statistics without releasing
-    /// the current backlog (used by windowed counters).
-    pub fn reset_stats(&mut self) {
-        self.busy = SimDuration::ZERO;
-        self.jobs = 0;
-    }
 }
 
 /// A bank-parallel resource: `n` identical servers, jobs are steered to an
@@ -119,11 +112,6 @@ impl BankedResource {
         BankedResource {
             banks: vec![ServiceResource::new(); n],
         }
-    }
-
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
     }
 
     /// Reserves a slot on the bank with the given index (modulo the bank

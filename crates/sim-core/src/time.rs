@@ -21,19 +21,7 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::ZERO + SimDuration::from_nanos(5);
 /// assert_eq!(t.as_picos(), 5_000);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in picoseconds.
@@ -46,19 +34,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_micros(2) + SimDuration::from_nanos(500);
 /// assert_eq!(d.as_nanos_f64(), 2_500.0);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

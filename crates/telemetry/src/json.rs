@@ -1,11 +1,11 @@
 //! Minimal hand-rolled JSON encoding.
 //!
 //! This crate sits below the harness (which owns the full `Value`
-//! parser), and the vendored serde is a no-op marker stub, so the
+//! parser) and the workspace has no serialization dependency, so the
 //! exporters carry their own encoder: deterministic, shortest-roundtrip
 //! floats, the same escaping rules as the harness encoder.
 
-use crate::event::{ArgValue, Event, EventKind};
+use crate::event::ArgValue;
 
 /// Appends a JSON string literal (with quotes) to `out`.
 pub(crate) fn string(s: &str, out: &mut String) {
@@ -58,41 +58,6 @@ pub(crate) fn args_object(args: &[(&'static str, ArgValue)], out: &mut String) {
         string(k, out);
         out.push(':');
         arg_value(v, out);
-    }
-    out.push('}');
-}
-
-/// Appends one event as a self-describing JSON object (the JSONL stream
-/// format of [`StreamCollector`](crate::StreamCollector)).
-pub(crate) fn event_object(event: &Event, out: &mut String) {
-    out.push_str("{\"target\":");
-    string(event.target.name(), out);
-    out.push_str(",\"name\":");
-    string(event.name, out);
-    out.push_str(",\"host\":");
-    if event.actor.host == crate::ActorId::GLOBAL_HOST {
-        out.push_str("null");
-    } else {
-        out.push_str(&event.actor.host.to_string());
-    }
-    out.push_str(",\"lane\":");
-    out.push_str(&event.actor.lane.to_string());
-    out.push_str(",\"ts_ps\":");
-    out.push_str(&event.ts_ps.to_string());
-    match event.kind {
-        EventKind::Span { dur_ps } => {
-            out.push_str(",\"kind\":\"span\",\"dur_ps\":");
-            out.push_str(&dur_ps.to_string());
-        }
-        EventKind::Instant => out.push_str(",\"kind\":\"instant\""),
-        EventKind::Counter { value_bits } => {
-            out.push_str(",\"kind\":\"counter\",\"value\":");
-            float(f64::from_bits(value_bits), out);
-        }
-    }
-    if !event.args.is_empty() {
-        out.push_str(",\"args\":");
-        args_object(&event.args, out);
     }
     out.push('}');
 }

@@ -5,10 +5,10 @@
 //! the verbs fabric, the chaos injector, the measurement harness — emits
 //! typed span/instant/counter events tagged with a [`Target`] (the
 //! emitting crate), a stable [`ActorId`] (host + lane), and a
-//! picosecond sim-time timestamp. Events flow into a [`Collector`]
-//! ([`NullCollector`], [`RingCollector`], [`StreamCollector`]); scalar
-//! observables flow into a [`Metrics`] registry of counters, gauges and
-//! log-linear HDR-style latency [`Histogram`]s.
+//! picosecond sim-time timestamp. Events flow into the [`Tracer`]'s
+//! bounded in-memory ring; scalar observables flow into a [`Metrics`]
+//! registry of counters, gauges and log-linear HDR-style latency
+//! [`Histogram`]s.
 //!
 //! # Zero overhead when disabled
 //!
@@ -26,17 +26,18 @@
 //! a merged trace (cells concatenated in config order) is byte-identical
 //! at any `--threads` count for a fixed seed.
 //!
-//! # Ambient sessions
+//! # The run context
 //!
-//! The harness installs a per-cell [`Session`] into a thread-local; code
-//! constructed inside the cell picks it up via [`tracer()`] /
-//! [`metrics()`]. Outside the harness, [`Session::install`] does the
-//! same for examples and tests:
+//! The harness installs one [`RunCtx`] per cell attempt into a
+//! thread-local: the cell's tracer, metrics and online-monitor config
+//! ([`MonitorConfig`]). Code constructed inside the cell picks it up via
+//! [`RunCtx::current`] (or [`tracer()`] / [`metrics()`]). Outside the
+//! harness, [`Session::install`] does the same for examples and tests:
 //!
 //! ```
 //! use ragnar_telemetry::{Session, Target, TargetSet, ActorId};
 //!
-//! let session = Session::ring(TargetSet::ALL, 1024, true);
+//! let session = Session::new(TargetSet::ALL, 1024, true);
 //! {
 //!     let _guard = session.install();
 //!     let t = ragnar_telemetry::tracer();
@@ -48,24 +49,24 @@
 
 #![warn(missing_docs)]
 
-mod collector;
 mod event;
 mod histogram;
 mod intern;
 mod json;
 mod metrics;
+mod monitor;
 mod perfetto;
 pub mod profile;
 mod scope;
 mod tracer;
 
-pub use collector::{Collector, NullCollector, RingCollector, StreamCollector};
 pub use event::{ActorId, ArgValue, Event, EventKind, Level, Target, TargetSet};
 pub use histogram::{Histogram, HistogramSummary};
 pub use intern::PrefixedInterner;
 pub use metrics::{HistogramBuckets, Metrics, MetricsReport};
+pub use monitor::{MonitorConfig, ViolationPolicy};
 pub use perfetto::{chrome_trace_json, TraceCell};
-pub use scope::{install, log, metrics, progress, tracer, Installed, Session, SessionReport};
+pub use scope::{log, metrics, progress, tracer, Installed, RunCtx, Session, SessionReport};
 pub use tracer::Tracer;
 
 /// Logs a warning through the leveled facade: always written to stderr,

@@ -7,17 +7,14 @@
 //! window it happens in, not after the run has burned its budget.
 //!
 //! This module holds only the domain-agnostic configuration surface: the
-//! [`ViolationPolicy`], the [`MonitorConfig`] knob set, and the ambient
-//! process-wide installation the harness `--monitors` flag drives. The
-//! monitors themselves live with the state they watch
-//! (`rdma-verbs::monitors`); violation *raising* is also done there,
-//! where telemetry is in scope.
+//! [`ViolationPolicy`] and the [`MonitorConfig`] knob set, which reach a
+//! cell through its [`RunCtx`](crate::RunCtx) (the harness `--monitors`
+//! flag fills it in). The monitors themselves live with the state they
+//! watch (`rdma-verbs::monitors`), which also raises violations.
 //!
 //! Monitoring is observational: it never changes artifacts or cache keys
 //! (a violation under `FailCell`/`AbortRun` fails the run loudly rather
 //! than producing a different artifact).
-
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// What happens when an online monitor detects an invariant violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,43 +73,6 @@ impl Default for MonitorConfig {
     }
 }
 
-// Ambient encoding: 0 = off, 1..=3 = policy discriminant + 1.
-static AMBIENT_POLICY: AtomicU8 = AtomicU8::new(0);
-static AMBIENT_CADENCE: AtomicU64 = AtomicU64::new(1024);
-
-/// Installs (or clears, with `None`) the process-wide monitor config
-/// that newly-constructed simulations pick up. The harness sets this
-/// from `--monitors <policy>` before dispatching cells; like `--threads`
-/// it never reaches configs or cache keys.
-pub fn set_ambient_monitors(cfg: Option<MonitorConfig>) {
-    match cfg {
-        None => AMBIENT_POLICY.store(0, Ordering::Relaxed),
-        Some(c) => {
-            AMBIENT_CADENCE.store(c.every_events.max(1), Ordering::Relaxed);
-            let tag = match c.policy {
-                ViolationPolicy::Log => 1,
-                ViolationPolicy::FailCell => 2,
-                ViolationPolicy::AbortRun => 3,
-            };
-            AMBIENT_POLICY.store(tag, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The currently-installed ambient monitor config, if any.
-pub fn ambient_monitors() -> Option<MonitorConfig> {
-    let policy = match AMBIENT_POLICY.load(Ordering::Relaxed) {
-        1 => ViolationPolicy::Log,
-        2 => ViolationPolicy::FailCell,
-        3 => ViolationPolicy::AbortRun,
-        _ => return None,
-    };
-    Some(MonitorConfig {
-        policy,
-        every_events: AMBIENT_CADENCE.load(Ordering::Relaxed),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,20 +87,5 @@ mod tests {
             assert_eq!(ViolationPolicy::parse(p.as_str()), Ok(p));
         }
         assert!(ViolationPolicy::parse("explode").is_err());
-    }
-
-    #[test]
-    fn ambient_install_roundtrip() {
-        // Serialized within this test; other tests don't touch the
-        // ambient monitor state.
-        set_ambient_monitors(Some(MonitorConfig {
-            policy: ViolationPolicy::FailCell,
-            every_events: 64,
-        }));
-        let got = ambient_monitors().expect("installed");
-        assert_eq!(got.policy, ViolationPolicy::FailCell);
-        assert_eq!(got.every_events, 64);
-        set_ambient_monitors(None);
-        assert_eq!(ambient_monitors(), None);
     }
 }

@@ -1,28 +1,56 @@
-//! Ambient (thread-local) sessions and the leveled log facade.
+//! The per-thread run context and the leveled log facade.
 //!
-//! The harness runs each experiment cell inside [`Session::install`];
-//! everything the cell constructs — simulations, NICs, event queues,
-//! fault injectors — captures the ambient [`Tracer`] / [`Metrics`] via
-//! [`tracer()`] / [`metrics()`] at construction time. No session
-//! installed means both handles are disabled and instrumentation costs
-//! one branch.
+//! The harness runs each experiment cell under one installed
+//! [`RunCtx`]; everything the cell constructs — simulations, NICs,
+//! event queues, fault injectors — captures the context's [`Tracer`],
+//! [`Metrics`] and monitor config at construction time. No context
+//! installed means both handles are disabled, monitors are off, and
+//! instrumentation costs one branch.
+//!
+//! The context is thread-local, so two cells on two threads never see
+//! each other's tracer or monitors, and nothing needs resetting after
+//! a sweep: the guard restores the previous context on drop.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::collector::{Collector, NullCollector, RingCollector, RingState};
 use crate::event::{ActorId, ArgValue, Event, Level, Target, TargetSet};
 use crate::metrics::{Metrics, MetricsReport};
+use crate::monitor::MonitorConfig;
 use crate::tracer::Tracer;
 
-#[derive(Clone, Default)]
-struct Ambient {
-    tracer: Tracer,
-    metrics: Metrics,
+/// Everything a cell observes through: its tracer, its metrics registry
+/// and its online-monitor config. None of it enters configs or cache
+/// keys — a run context observes a cell, it never parameterizes one.
+#[derive(Debug, Clone, Default)]
+pub struct RunCtx {
+    /// Where trace events go (disabled by default).
+    pub tracer: Tracer,
+    /// Where counters and histograms go (disabled by default).
+    pub metrics: Metrics,
+    /// Online invariant monitors for simulations built under this
+    /// context; `None` (the default) runs unmonitored.
+    pub monitors: Option<MonitorConfig>,
 }
 
 thread_local! {
-    static CURRENT: RefCell<Ambient> = RefCell::new(Ambient::default());
+    static CURRENT: RefCell<RunCtx> = RefCell::new(RunCtx::default());
+}
+
+impl RunCtx {
+    /// The context installed on this thread (the empty default when none
+    /// is).
+    pub fn current() -> RunCtx {
+        CURRENT.with(|c| c.borrow().clone())
+    }
+
+    /// Installs this context on the current thread until the returned
+    /// guard drops, restoring whatever was installed before (contexts
+    /// nest).
+    #[must_use = "the context uninstalls when the guard drops"]
+    pub fn install(self) -> Installed {
+        let prev = CURRENT.with(|c| c.replace(self));
+        Installed { prev }
+    }
 }
 
 /// The tracer installed on this thread (disabled when none is).
@@ -35,20 +63,10 @@ pub fn metrics() -> Metrics {
     CURRENT.with(|c| c.borrow().metrics.clone())
 }
 
-/// Installs `tracer`/`metrics` as this thread's ambient session until
-/// the returned guard drops (restoring whatever was installed before —
-/// sessions nest).
-#[must_use = "the session uninstalls when the guard drops"]
-pub fn install(tracer: Tracer, metrics: Metrics) -> Installed {
-    let next = Ambient { tracer, metrics };
-    let prev = CURRENT.with(|c| c.replace(next));
-    Installed { prev }
-}
-
-/// Guard returned by [`install`]; restores the previous ambient session
-/// on drop. `!Send` by construction (holds thread-local state).
+/// Guard returned by [`RunCtx::install`]; restores the previous context
+/// on drop, so drop it on the thread that installed it.
 pub struct Installed {
-    prev: Ambient,
+    prev: RunCtx,
 }
 
 impl Drop for Installed {
@@ -58,88 +76,53 @@ impl Drop for Installed {
     }
 }
 
-/// One configured tracing+metrics session: builds the handles, installs
-/// them, and harvests a [`SessionReport`] at the end.
+/// One configured tracing+metrics session: builds the handles and
+/// harvests a [`SessionReport`] at the end.
 pub struct Session {
     tracer: Tracer,
     metrics: Metrics,
-    ring: Option<Arc<Mutex<RingState>>>,
 }
 
 impl Session {
-    /// A session buffering up to `capacity` filtered events in a ring,
-    /// with metrics on or off.
-    pub fn ring(filter: TargetSet, capacity: usize, with_metrics: bool) -> Session {
-        let ring = RingCollector::new(capacity);
-        let state = ring.state();
+    /// A session buffering up to `capacity` events of `filter`'s targets
+    /// in a ring, with metrics on or off. [`TargetSet::EMPTY`] makes a
+    /// metrics-only session.
+    pub fn new(filter: TargetSet, capacity: usize, with_metrics: bool) -> Session {
         Session {
-            tracer: Tracer::new(filter, Box::new(ring)),
+            tracer: Tracer::new(filter, capacity),
             metrics: if with_metrics {
                 Metrics::new()
             } else {
                 Metrics::disabled()
             },
-            ring: Some(state),
         }
     }
 
-    /// A session feeding a custom collector (e.g. a
-    /// [`StreamCollector`](crate::StreamCollector)); events are not
-    /// harvestable afterwards, metrics are.
-    pub fn custom(filter: TargetSet, collector: Box<dyn Collector>, with_metrics: bool) -> Session {
-        Session {
-            tracer: Tracer::new(filter, collector),
-            metrics: if with_metrics {
-                Metrics::new()
-            } else {
-                Metrics::disabled()
-            },
-            ring: None,
+    /// A run context carrying this session's handles and no monitors.
+    pub fn ctx(&self) -> RunCtx {
+        RunCtx {
+            tracer: self.tracer.clone(),
+            metrics: self.metrics.clone(),
+            monitors: None,
         }
     }
 
-    /// A metrics-only session (events discarded).
-    pub fn metrics_only() -> Session {
-        Session {
-            tracer: Tracer::new(TargetSet::EMPTY, Box::new(NullCollector)),
-            metrics: Metrics::new(),
-            ring: None,
-        }
-    }
-
-    /// This session's tracer handle.
-    pub fn tracer(&self) -> Tracer {
-        self.tracer.clone()
-    }
-
-    /// This session's metrics handle.
-    pub fn metrics(&self) -> Metrics {
-        self.metrics.clone()
-    }
-
-    /// Installs the session on the current thread (see [`install`]).
+    /// Installs [`Session::ctx`] on the current thread (see
+    /// [`RunCtx::install`]).
     #[must_use = "the session uninstalls when the guard drops"]
     pub fn install(&self) -> Installed {
-        install(self.tracer.clone(), self.metrics.clone())
+        self.ctx().install()
     }
 
-    /// Flushes and harvests: buffered events (ring sessions), drop and
-    /// total counts, and the metrics report.
+    /// Harvests the buffered events, drop and total counts, and the
+    /// metrics report.
     pub fn finish(self) -> SessionReport {
-        self.tracer.flush();
-        let (events, dropped) = match &self.ring {
-            Some(state) => {
-                // Recover from poison so a panicked worker's session can
-                // still be harvested after the fact.
-                let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-                (state.events.drain(..).collect(), state.dropped)
-            }
-            None => (Vec::new(), 0),
-        };
+        let total_events = self.tracer.events_recorded();
+        let (events, dropped_events) = self.tracer.drain();
         SessionReport {
-            total_events: self.tracer.events_recorded(),
+            total_events,
             events,
-            dropped_events: dropped,
+            dropped_events,
             metrics: self.metrics.report(),
         }
     }
@@ -148,11 +131,11 @@ impl Session {
 /// What one session observed.
 #[derive(Debug, Clone, Default)]
 pub struct SessionReport {
-    /// Buffered events in record order (empty for non-ring sessions).
+    /// Buffered events in record order.
     pub events: Vec<Event>,
     /// Events evicted from the ring after it filled.
     pub dropped_events: u64,
-    /// Events accepted by the filter (buffered + evicted + streamed).
+    /// Events accepted by the filter (buffered + evicted).
     pub total_events: u64,
     /// The metrics snapshot, when the session had metrics enabled.
     pub metrics: Option<MetricsReport>,
@@ -197,11 +180,11 @@ mod tests {
     #[test]
     fn sessions_nest_and_restore() {
         assert!(!tracer().enabled(Target::Harness));
-        let outer = Session::ring(TargetSet::ALL, 64, true);
+        let outer = Session::new(TargetSet::ALL, 64, true);
         {
             let _g1 = outer.install();
             tracer().instant(Target::Harness, "outer", ActorId::GLOBAL, 1, &[]);
-            let inner = Session::ring(TargetSet::ALL, 64, false);
+            let inner = Session::new(TargetSet::ALL, 64, false);
             {
                 let _g2 = inner.install();
                 tracer().instant(Target::Harness, "inner", ActorId::GLOBAL, 2, &[]);
@@ -234,7 +217,7 @@ mod tests {
 
     #[test]
     fn log_records_event_under_session() {
-        let session = Session::ring(TargetSet::ALL, 8, false);
+        let session = Session::new(TargetSet::ALL, 8, false);
         {
             let _g = session.install();
             crate::info!("cell {} done", 3);
@@ -242,5 +225,26 @@ mod tests {
         let report = session.finish();
         assert_eq!(report.events.len(), 1);
         assert_eq!(report.events[0].name, "log");
+    }
+
+    #[test]
+    fn run_ctx_is_per_thread_and_restored() {
+        let monitors = Some(MonitorConfig {
+            policy: crate::ViolationPolicy::FailCell,
+            every_events: 8,
+        });
+        {
+            let _g = RunCtx {
+                monitors,
+                ..RunCtx::default()
+            }
+            .install();
+            assert_eq!(RunCtx::current().monitors, monitors);
+            let other = std::thread::spawn(|| RunCtx::current().monitors)
+                .join()
+                .expect("join");
+            assert_eq!(other, None, "a context leaked to another thread");
+        }
+        assert_eq!(RunCtx::current().monitors, None);
     }
 }

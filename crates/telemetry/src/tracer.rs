@@ -1,16 +1,34 @@
 //! The cloneable [`Tracer`] handle instrumentation points hold.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::collector::Collector;
 use crate::event::{ActorId, ArgValue, Event, EventKind, Target, TargetSet};
+
+/// A bounded in-memory ring: keeps the most recent `capacity` events and
+/// counts the overflow, so a pathological cell bounds its own memory
+/// instead of the whole sweep's.
+#[derive(Debug)]
+struct Ring {
+    events: VecDeque<Event>,
+    capacity: usize,
+    dropped: u64,
+}
 
 struct TracerShared {
     filter: TargetSet,
-    collector: Mutex<Box<dyn Collector>>,
-    recorded: AtomicU64,
+    ring: Mutex<Ring>,
+}
+
+impl TracerShared {
+    /// Locks the ring, recovering from poison: a panicking harness
+    /// worker must report its own panic, not die again on an opaque
+    /// `PoisonError` while draining telemetry. The ring's invariants
+    /// hold under poison — every mutation leaves it consistent.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A handle to one tracing session. Instrumented types capture a clone
@@ -39,13 +57,17 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A handle feeding `collector`, keeping only `filter`'s targets.
-    pub fn new(filter: TargetSet, collector: Box<dyn Collector>) -> Tracer {
+    /// A handle buffering up to `capacity` events (min 1) of `filter`'s
+    /// targets, evicting the oldest once full.
+    pub fn new(filter: TargetSet, capacity: usize) -> Tracer {
         Tracer {
             shared: Some(Arc::new(TracerShared {
                 filter,
-                collector: Mutex::new(collector),
-                recorded: AtomicU64::new(0),
+                ring: Mutex::new(Ring {
+                    events: VecDeque::new(),
+                    capacity: capacity.max(1),
+                    dropped: 0,
+                }),
             })),
         }
     }
@@ -59,11 +81,12 @@ impl Tracer {
         }
     }
 
-    /// Events accepted by the filter so far.
+    /// Events accepted by the filter so far (buffered + evicted).
     pub fn events_recorded(&self) -> u64 {
-        self.shared
-            .as_ref()
-            .map_or(0, |s| s.recorded.load(Ordering::Relaxed))
+        self.shared.as_ref().map_or(0, |s| {
+            let ring = s.lock();
+            ring.events.len() as u64 + ring.dropped
+        })
     }
 
     /// Records a raw event.
@@ -72,15 +95,22 @@ impl Tracer {
             if !shared.filter.contains(event.target) {
                 return;
             }
-            shared.recorded.fetch_add(1, Ordering::Relaxed);
-            // Recover from poison: a panicking collector holder must not
-            // turn every later record into a second panic.
-            shared
-                .collector
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .record(event);
+            let mut ring = shared.lock();
+            if ring.events.len() >= ring.capacity {
+                ring.events.pop_front();
+                ring.dropped += 1;
+            }
+            ring.events.push_back(event);
         }
+    }
+
+    /// Removes and returns every buffered event, oldest first, with the
+    /// count of events evicted before them.
+    pub(crate) fn drain(&self) -> (Vec<Event>, u64) {
+        self.shared.as_ref().map_or((Vec::new(), 0), |s| {
+            let mut ring = s.lock();
+            (ring.events.drain(..).collect(), ring.dropped)
+        })
     }
 
     /// Records a span: work on `actor` starting at `ts_ps` for `dur_ps`.
@@ -146,17 +176,6 @@ impl Tracer {
             });
         }
     }
-
-    /// Flushes the underlying collector.
-    pub fn flush(&self) {
-        if let Some(shared) = &self.shared {
-            shared
-                .collector
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .flush();
-        }
-    }
 }
 
 impl fmt::Debug for Tracer {
@@ -165,7 +184,7 @@ impl fmt::Debug for Tracer {
             Some(shared) => f
                 .debug_struct("Tracer")
                 .field("filter", &shared.filter)
-                .field("recorded", &shared.recorded.load(Ordering::Relaxed))
+                .field("recorded", &self.events_recorded())
                 .finish(),
             None => f.write_str("Tracer(disabled)"),
         }
@@ -175,18 +194,31 @@ impl fmt::Debug for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::RingCollector;
+
+    fn ev(i: u64) -> Event {
+        Event {
+            target: Target::Harness,
+            name: "t",
+            actor: ActorId::GLOBAL,
+            ts_ps: i,
+            kind: EventKind::Instant,
+            args: vec![],
+        }
+    }
+
+    fn timestamps(events: &[Event]) -> Vec<u64> {
+        events.iter().map(|e| e.ts_ps).collect()
+    }
 
     #[test]
     fn filter_drops_unselected_targets() {
-        let ring = RingCollector::new(16);
-        let tracer = Tracer::new(TargetSet::EMPTY.with(Target::Chaos), Box::new(ring.clone()));
+        let tracer = Tracer::new(TargetSet::EMPTY.with(Target::Chaos), 16);
         assert!(tracer.enabled(Target::Chaos));
         assert!(!tracer.enabled(Target::SimCore));
         tracer.instant(Target::Chaos, "fault", ActorId::GLOBAL, 1, &[]);
         tracer.instant(Target::SimCore, "depth", ActorId::GLOBAL, 2, &[]);
         assert_eq!(tracer.events_recorded(), 1);
-        assert_eq!(ring.len(), 1);
+        assert_eq!(tracer.drain().0.len(), 1);
     }
 
     #[test]
@@ -195,5 +227,42 @@ mod tests {
         tracer.span(Target::Harness, "x", ActorId::GLOBAL, 0, 1, &[]);
         assert_eq!(tracer.events_recorded(), 0);
         assert!(!tracer.enabled(Target::Harness));
+    }
+
+    #[test]
+    fn ring_keeps_most_recent_and_counts_drops() {
+        let tracer = Tracer::new(TargetSet::ALL, 3);
+        for i in 0..5 {
+            tracer.record(ev(i));
+        }
+        assert_eq!(tracer.events_recorded(), 5);
+        let (events, dropped) = tracer.drain();
+        assert_eq!(dropped, 2);
+        assert_eq!(timestamps(&events), vec![2, 3, 4]);
+        assert!(tracer.drain().0.is_empty());
+    }
+
+    #[test]
+    fn poisoned_ring_still_records_and_drains() {
+        let tracer = Tracer::new(TargetSet::ALL, 8);
+        tracer.record(ev(1));
+        // Poison the mutex: a harness worker panics while holding the
+        // ring lock (simulated by panicking under the guard).
+        let poisoner = tracer.clone();
+        let result = std::thread::spawn(move || {
+            let shared = poisoner.shared.as_ref().expect("enabled");
+            let _guard = shared.ring.lock().expect("not yet poisoned");
+            panic!("worker dies holding the ring");
+        })
+        .join();
+        assert!(result.is_err(), "the poisoning thread must have panicked");
+        let shared = tracer.shared.as_ref().expect("enabled");
+        assert!(shared.ring.lock().is_err(), "mutex is poisoned");
+        // The ring must keep working: record, count, drain.
+        tracer.record(ev(2));
+        assert_eq!(tracer.events_recorded(), 2);
+        let (events, dropped) = tracer.drain();
+        assert_eq!(dropped, 0);
+        assert_eq!(timestamps(&events), vec![1, 2]);
     }
 }
