@@ -16,9 +16,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace)"
 cargo test -q --workspace --offline
 
-echo "== cargo bench --no-run (benches stay compilable)"
-cargo bench --no-run --workspace --offline
-
 echo "== chaos smoke: seeded fault plans through fig4_contention"
 for chaos_seed in 1 2 3; do
     cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
@@ -95,18 +92,6 @@ done
 grep -q 'Engine phase profile' "$smoke_results/fig4_contention/report.md"
 grep -q 'Merged latency histograms' "$smoke_results/fig4_contention/report.md"
 
-echo "== bench-diff gate: identical reports pass, injected regression trips non-zero"
-cp "$smoke_report" "$smoke_results/baseline.json"
-cargo run --release --offline -p ragnar-bench --bin bench_diff -- \
-    "$smoke_results/baseline.json" "$smoke_report" > /dev/null
-# Perturb one deterministic counter; the 0%-threshold diff must fail.
-sed 's/"retries":[0-9]*/"retries":7/' "$smoke_results/baseline.json" \
-    > "$smoke_results/regressed.json"
-if cargo run --release --offline -p ragnar-bench --bin bench_diff -- \
-    "$smoke_results/baseline.json" "$smoke_results/regressed.json" > /dev/null; then
-    echo "bench-diff failed to flag an injected regression"
-    exit 1
-fi
 rm -rf "$smoke_results"
 
 echo "CI OK"

@@ -1,4 +1,5 @@
 //! Config-shaping flags are honored or refused, never silently ignored.
+//! So is any argument an experiment does not read.
 //!
 //! `--topology` and the chaos flags enter cache keys through the configs
 //! of the experiments that support them. An experiment whose configs
@@ -50,4 +51,17 @@ fn noisy_neighbor_still_runs_on_a_given_topology() {
     )
     .expect("noisy_neighbor honors --topology");
     assert_eq!(failed, 0);
+}
+
+#[test]
+fn arguments_no_experiment_reads_are_rejected() {
+    for args in [&["--retries", "1"][..], &["--quik"][..]] {
+        let err = run_with_cli(
+            &offset::Fig6AbsOffset,
+            &cli(&[&["--quick", "--no-cache"][..], args].concat()),
+        )
+        .expect_err("fig6 reads neither argument");
+        assert!(err.contains(args.join(" ").as_str()), "got: {err}");
+        assert!(err.contains("fig6_abs_offset"), "got: {err}");
+    }
 }

@@ -27,20 +27,16 @@
 //!                   engine phase (queue ops, execute, arena, chaos,
 //!                   flush), reported in report.{json,md}; pure
 //!                   observation — digests and cache keys are unchanged
-//! --cell-timeout <ms>  wall-clock watchdog per cell attempt; an attempt
-//!                   past the budget is recorded as timed out (never part
-//!                   of cache keys)
-//! --retries <n>     re-run a failed/hung cell up to n more times with the
-//!                   same seed after a seeded exponential backoff; cells
-//!                   that fail every attempt are quarantined with a repro
-//!                   command in the manifest (never part of cache keys)
+//! --cell-timeout <ms>  wall-clock watchdog per cell; a cell past the
+//!                   budget is recorded as timed out (never part of cache
+//!                   keys)
 //! --monitors <policy>  run cells under the online invariant monitors
 //!                   (log, fail-cell or abort-run); like --trace and
 //!                   --metrics it makes cells execute (cache reads
 //!                   bypassed) but artifacts and keys are unchanged —
 //!                   monitors observe, never perturb
 //! --only <substr>   run only configs whose label contains the substring
-//!                   (the spelling `--only "<label>"` is what quarantined
+//!                   (the spelling `--only "<label>"` is what failed
 //!                   cells' repro commands use)
 //! --help            usage
 //! ```
@@ -52,10 +48,14 @@
 //!
 //! Experiment-specific switches (fig4's `--full`, fig13's `--coarse`,
 //! table5's `--bits <n>`, …) are passed through and queried via
-//! [`Cli::flag`] / [`Cli::option_u64`] from `Experiment::params`.
+//! [`Cli::flag`] / [`Cli::option_u64`] from `Experiment::params`. The
+//! `Cli` records each query, and [`run_with_cli`] rejects any argument
+//! that `params` did not read, so a typo or a flag the experiment does
+//! not have is an error rather than a silently ignored argument.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::cache::ResultStore;
@@ -110,12 +110,10 @@ pub struct Cli {
     /// observability flag it parses into this dedicated field, never
     /// into `extras`.
     pub profile: bool,
-    /// Per-attempt cell watchdog in ms (`--cell-timeout`). `None`
+    /// Per-cell watchdog in ms (`--cell-timeout`). `None`
     /// (default) trusts cells to terminate. Excluded from cache keys by
     /// construction, like every dedicated supervision field.
     pub cell_timeout_ms: Option<u64>,
-    /// Extra attempts for failed/hung cells (`--retries`, default 0).
-    pub retries: u32,
     /// Online invariant-monitor policy (`--monitors`), validated at
     /// parse time. `None` (default) runs unmonitored.
     pub monitors: Option<ViolationPolicy>,
@@ -124,6 +122,26 @@ pub struct Cli {
     pub only: Option<String>,
     /// Unrecognised arguments, available to experiments.
     extras: Vec<String>,
+    /// Which `extras` a [`Cli::flag`] / [`Cli::option_u64`] query has
+    /// read; [`run_with_cli`] rejects the rest.
+    read: ReadMarks,
+}
+
+/// One mark per extra, set when a query reads it. A lock rather than a
+/// `Cell` keeps `Cli` `Sync`.
+#[derive(Debug, Default)]
+struct ReadMarks(Mutex<Vec<bool>>);
+
+impl ReadMarks {
+    fn lock(&self) -> MutexGuard<'_, Vec<bool>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for ReadMarks {
+    fn clone(&self) -> Self {
+        ReadMarks(Mutex::new(self.lock().clone()))
+    }
 }
 
 impl Default for Cli {
@@ -143,10 +161,10 @@ impl Default for Cli {
             metrics: false,
             profile: false,
             cell_timeout_ms: None,
-            retries: 0,
             monitors: None,
             only: None,
             extras: Vec::new(),
+            read: ReadMarks::default(),
         }
     }
 }
@@ -204,9 +222,6 @@ impl Cli {
                     }
                     cli.cell_timeout_ms = Some(ms);
                 }
-                "--retries" => {
-                    cli.retries = take_u64(&mut it, "--retries")?.clamp(0, 16) as u32;
-                }
                 "--monitors" => {
                     // Validated here so a typo is a usage error, not a
                     // surprise an hour into a sweep.
@@ -224,16 +239,46 @@ impl Cli {
 
     /// Whether an experiment-specific boolean switch was passed.
     pub fn flag(&self, name: &str) -> bool {
-        self.extras.iter().any(|a| a == name)
+        self.mark_read(name, false).is_some()
     }
 
     /// The value of an experiment-specific `--name <u64>` option.
     pub fn option_u64(&self, name: &str) -> Option<u64> {
-        let pos = self.extras.iter().position(|a| a == name)?;
+        let pos = self.mark_read(name, true)?;
         self.extras.get(pos + 1)?.parse().ok()
     }
 
-    /// Extra arguments that are not shared flags.
+    /// Marks every occurrence of `name` among the extras as read, plus
+    /// the argument after each one when it takes a value. Returns the
+    /// position of the first occurrence.
+    fn mark_read(&self, name: &str, takes_value: bool) -> Option<usize> {
+        let mut read = self.read.lock();
+        read.resize(self.extras.len(), false);
+        let mut first = None;
+        for (i, arg) in self.extras.iter().enumerate() {
+            if arg == name {
+                first.get_or_insert(i);
+                let end = if takes_value { i + 2 } else { i + 1 };
+                read[i..end.min(self.extras.len())].fill(true);
+            }
+        }
+        first
+    }
+
+    /// The extras no query has read, in command-line order.
+    fn unread_extras(&self) -> Vec<&str> {
+        let read = self.read.lock();
+        self.extras
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !read.get(i).copied().unwrap_or(false))
+            .map(|(_, arg)| arg.as_str())
+            .collect()
+    }
+
+    /// Extra arguments that are not shared flags. Reading them here
+    /// marks none as read; experiments query through [`Cli::flag`] and
+    /// [`Cli::option_u64`].
     pub fn extras(&self) -> &[String] {
         &self.extras
     }
@@ -257,7 +302,7 @@ fn usage(exp: &dyn Experiment) -> String {
          {pad}   [--force] [--no-cache]\n\
          {pad}   [--results <dir>] [--chaos-seed <u64>] [--chaos-plan <file>]\n\
          {pad}   [--topology <spec>] [--trace <path>] [--trace-filter <targets>]\n\
-         {pad}   [--metrics] [--profile] [--cell-timeout <ms>] [--retries <n>]\n\
+         {pad}   [--metrics] [--profile] [--cell-timeout <ms>]\n\
          {pad}   [--monitors <log|fail-cell|abort-run>]\n\
          {pad}   [--only <label-substring>]\n\
          {pad}   [experiment-specific flags]\n\n\
@@ -317,7 +362,21 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
     let mut stages: Vec<(String, f64)> = Vec::new();
 
     let t0 = Instant::now();
-    let mut configs = exp.params(cli);
+    // `params` reads a copy with no extra marked yet, so a query made on
+    // `cli` before this call cannot excuse an argument this one ignores.
+    let fresh = Cli {
+        read: ReadMarks::default(),
+        ..cli.clone()
+    };
+    let mut configs = exp.params(&fresh);
+    let unread = fresh.unread_extras();
+    if !unread.is_empty() {
+        return Err(format!(
+            "'{}' does not read {} (see --help)",
+            exp.name(),
+            unread.join(" ")
+        ));
+    }
     reject_ignored_flags(exp, cli, &configs)?;
     if let Some(needle) = &cli.only {
         configs.retain(|c| c.label().contains(needle.as_str()));
@@ -366,7 +425,6 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
                 }),
             },
             cell_timeout: cli.cell_timeout_ms.map(std::time::Duration::from_millis),
-            retries: cli.retries,
         },
     );
     stages.push(("execute".into(), t0.elapsed().as_secs_f64() * 1e3));
@@ -450,9 +508,8 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
             }
             Outcome::TimedOut { timeout_ms } => {
                 ragnar_telemetry::warn!(
-                    "timed-out config [{}]: {} attempt(s) past {timeout_ms} ms",
-                    r.config.label(),
-                    r.attempts
+                    "timed-out config [{}]: past {timeout_ms} ms",
+                    r.config.label()
                 );
             }
             Outcome::Skipped { reason } => {
@@ -587,7 +644,6 @@ mod tests {
         .is_err());
         assert!(Cli::parse(["--cell-timeout".to_string(), "0".to_string()]).is_err());
         assert!(Cli::parse(["--cell-timeout".to_string(), "x".to_string()]).is_err());
-        assert!(Cli::parse(["--retries".to_string()]).is_err());
         assert!(Cli::parse(["--monitors".to_string(), "verbose".to_string()]).is_err());
         assert!(Cli::parse(["--monitors".to_string()]).is_err());
         assert!(Cli::parse(["--only".to_string()]).is_err());
@@ -598,19 +654,14 @@ mod tests {
         let cli = parse(&[
             "--cell-timeout",
             "5000",
-            "--retries",
-            "3",
             "--monitors",
             "fail-cell",
             "--only",
             "op=read",
         ]);
         assert_eq!(cli.cell_timeout_ms, Some(5000));
-        assert_eq!(cli.retries, 3);
         assert_eq!(cli.monitors, Some(ViolationPolicy::FailCell));
         assert_eq!(cli.only.as_deref(), Some("op=read"));
-        // Retries clamp instead of erroring.
-        assert_eq!(parse(&["--retries", "99"]).retries, 16);
         for (raw, policy) in [
             ("log", ViolationPolicy::Log),
             ("fail-cell", ViolationPolicy::FailCell),
@@ -640,6 +691,47 @@ mod tests {
         }
     }
 
+    /// Reads `--full` and `--bits <n>`, like the cluster experiments.
+    struct ExtrasReader;
+
+    impl Experiment for ExtrasReader {
+        fn name(&self) -> &'static str {
+            "extras-reader-unit"
+        }
+        fn params(&self, cli: &Cli) -> Vec<Config> {
+            let bits = cli.option_u64("--bits").unwrap_or(4);
+            vec![Config::new()
+                .with("bits", bits)
+                .with("full", cli.flag("--full"))]
+        }
+        fn run(&self, _config: &Config, _seed: u64) -> Result<crate::Artifact, String> {
+            Ok(crate::Artifact::text("ok\n"))
+        }
+    }
+
+    #[test]
+    fn extras_the_experiment_reads_still_run() {
+        let cli = parse(&["--no-cache", "--threads", "1", "--bits", "8", "--full"]);
+        assert_eq!(run_with_cli(&ExtrasReader, &cli), Ok(0));
+    }
+
+    #[test]
+    fn extras_nothing_reads_are_rejected() {
+        for (args, unread) in [
+            (&["--bits", "8", "--retries", "1"][..], "--retries 1"),
+            (&["stray", "--full"][..], "stray"),
+        ] {
+            let cli = parse(&[&["--no-cache"][..], args].concat());
+            let err = run_with_cli(&ExtrasReader, &cli).expect_err("unread argument");
+            assert!(err.contains(unread), "{args:?} -> {err}");
+            assert!(err.contains("extras-reader-unit"), "{err}");
+        }
+        // A query made on the `Cli` before the run does not count.
+        let cli = parse(&["--no-cache", "--coarse"]);
+        assert!(cli.flag("--coarse"));
+        assert!(run_with_cli(&ExtrasReader, &cli).is_err());
+    }
+
     /// `--monitors` reaches the cell through its run context and leaves
     /// nothing behind: at `--threads 1` the cell runs on this very
     /// thread, which carries no monitors once the sweep returns.
@@ -664,8 +756,6 @@ mod key_exclusion {
             [
                 "--cell-timeout",
                 "100",
-                "--retries",
-                "2",
                 "--monitors",
                 "log",
                 "--only",
@@ -680,7 +770,7 @@ mod key_exclusion {
             "supervision flag leaked: {:?}",
             cli.extras()
         );
-        for flag in ["--cell-timeout", "--retries", "--monitors", "--only"] {
+        for flag in ["--cell-timeout", "--monitors", "--only"] {
             assert!(!cli.flag(flag), "{flag} visible as an extra");
             assert_eq!(cli.option_u64(flag), None);
         }

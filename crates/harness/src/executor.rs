@@ -23,16 +23,14 @@
 //!   cell, not the run. Panic-hook suppression is scoped to the cell
 //!   threads via [`sim_core::supervised_section`]; panics on threads
 //!   nobody supervises stay loud.
-//! * With [`ExecOptions::cell_timeout`] set, each attempt runs on its
-//!   own watchdog-monitored thread; an attempt that overruns its budget
-//!   is declared hung and the worker moves on (the hung thread is
-//!   joined at sweep end, so process exit waits for it, but scheduling
-//!   does not).
-//! * With [`ExecOptions::retries`] > 0, a failed or hung attempt is
-//!   retried with the *same* seed after a seed-deterministic
-//!   exponential backoff ([`retry_backoff`]); a cell that fails every
-//!   attempt is quarantined as a repeat offender and its record carries
-//!   a ready-to-paste minimal-repro command.
+//! * With [`ExecOptions::cell_timeout`] set, each cell runs on its own
+//!   watchdog-monitored thread; a cell that overruns its budget is
+//!   declared hung and the worker moves on (the hung thread is joined at
+//!   sweep end, so process exit waits for it, but scheduling does not).
+//! * Every cell runs exactly once: it is a pure function of its config
+//!   and seed, so a second attempt would repeat the same computation.
+//!   A failed or timed-out cell's record carries a ready-to-paste
+//!   minimal-repro command.
 //! * A panic message starting with `[monitor-abort]` (the
 //!   [`ViolationPolicy::AbortRun`](ragnar_telemetry::ViolationPolicy::AbortRun)
 //!   spelling) trips a
@@ -70,7 +68,7 @@ const PROGRESS_PERIOD: Duration = Duration::from_millis(500);
 
 /// What the executor should observe about each cell. None of it enters
 /// configs or cache keys — it is an observer, not an input. Every
-/// attempt runs under a [`RunCtx`] built from this spec.
+/// executed cell runs under a [`RunCtx`] built from this spec.
 #[derive(Debug, Clone)]
 pub struct TelemetrySpec {
     /// Buffer structured trace events per cell.
@@ -103,7 +101,7 @@ impl TelemetrySpec {
         self.trace || self.metrics || self.monitors.is_some()
     }
 
-    /// The per-attempt session, when trace events or metrics are kept.
+    /// The per-cell session, when trace events or metrics are kept.
     fn session(&self) -> Option<Session> {
         let filter = if self.trace {
             self.filter
@@ -127,14 +125,10 @@ pub struct ExecOptions {
     /// under its run context; cache writes still refresh the store, and
     /// keys are unchanged — artifacts are observation-invariant.
     pub telemetry: TelemetrySpec,
-    /// Wall-clock watchdog per attempt. `None` (default) trusts cells
-    /// to terminate; `Some(budget)` runs each attempt on its own thread
-    /// and declares it hung past the budget.
+    /// Wall-clock watchdog per cell. `None` (default) trusts cells to
+    /// terminate; `Some(budget)` runs each cell on its own thread and
+    /// declares it hung past the budget.
     pub cell_timeout: Option<Duration>,
-    /// Extra attempts after a failed or hung first attempt (default 0).
-    /// Retries reuse the cell's seed — a deterministic failure fails
-    /// every rung of the ladder and ends quarantined.
-    pub retries: u32,
 }
 
 impl Default for ExecOptions {
@@ -144,7 +138,6 @@ impl Default for ExecOptions {
             force: false,
             telemetry: TelemetrySpec::default(),
             cell_timeout: None,
-            retries: 0,
         }
     }
 }
@@ -163,19 +156,6 @@ pub fn default_threads() -> usize {
 /// partial sweep — hands the config the same seed.
 pub fn config_seed(master_seed: u64, experiment: &str, config: &Config) -> u64 {
     sim_core::derive_seed(master_seed, &format!("{experiment}/{}", config.canonical()))
-}
-
-/// The delay before retry `attempt` (1-based: the sleep after the
-/// first failed attempt is `retry_backoff(seed, 1)`).
-///
-/// Exponential base (25 ms, doubling, capped at 1.6 s) plus a jitter in
-/// `[0, base)` derived from the cell seed — a pure function of
-/// `(cell_seed, attempt)`, so reschedules are reproducible run over run
-/// while distinct cells still decorrelate.
-pub fn retry_backoff(cell_seed: u64, attempt: u32) -> Duration {
-    let base_ms = 25u64 << attempt.saturating_sub(1).min(6);
-    let jitter_ms = sim_core::derive_seed(cell_seed, &format!("retry-jitter/{attempt}")) % base_ms;
-    Duration::from_millis(base_ms + jitter_ms)
 }
 
 /// Sweep-wide abort latch: set by the first `[monitor-abort]` panic,
@@ -253,7 +233,7 @@ impl SweepCtx<'_> {
     }
 }
 
-/// How one attempt of one cell ended.
+/// How a cell's one attempt ended.
 enum AttemptEnd {
     /// The attempt ran to completion (success, error or caught panic).
     Finished(
@@ -318,54 +298,23 @@ fn run_attempt<'scope, 'env: 'scope>(
     }
 }
 
-/// Appends the executor's supervision verdicts to a cell's trace as
-/// synthesized `Target::Harness` instants — one `retry` per extra
-/// attempt, a `watchdog_timeout` when every attempt overran the budget,
-/// and a `quarantine` marker for repeat offenders. All fields are
-/// derived from deterministic per-cell state (attempt counts and
-/// outcomes), never from wall-clock, so traces stay byte-identical at
-/// any thread count.
-fn append_supervisor_events(
-    telemetry: &mut SessionReport,
-    outcome: &Outcome,
-    attempts: u32,
-    quarantined: bool,
-) {
-    let mut push = |name: &'static str, args: Vec<(&'static str, ArgValue)>| {
-        telemetry.events.push(Event {
-            target: Target::Harness,
-            name,
-            actor: ActorId::GLOBAL,
-            ts_ps: 0,
-            kind: EventKind::Instant,
-            args,
-        });
-        telemetry.total_events += 1;
-    };
-    for attempt in 2..=attempts {
-        push(
-            "retry",
-            vec![("attempt", ArgValue::U64(u64::from(attempt)))],
-        );
-    }
-    if let Outcome::TimedOut { timeout_ms } = outcome {
-        push(
-            "watchdog_timeout",
-            vec![
-                ("timeout_ms", ArgValue::U64(*timeout_ms)),
-                ("attempts", ArgValue::U64(u64::from(attempts))),
-            ],
-        );
-    }
-    if quarantined {
-        push(
-            "quarantine",
-            vec![("attempts", ArgValue::U64(u64::from(attempts)))],
-        );
-    }
+/// Appends the watchdog's verdict to a timed-out cell's trace as a
+/// synthesized `Target::Harness` instant. Its one field is the budget,
+/// never a wall-clock reading, and it is pinned at ts 0, so traces stay
+/// byte-identical at any thread count.
+fn append_watchdog_timeout(telemetry: &mut SessionReport, timeout_ms: u64) {
+    telemetry.events.push(Event {
+        target: Target::Harness,
+        name: "watchdog_timeout",
+        actor: ActorId::GLOBAL,
+        ts_ps: 0,
+        kind: EventKind::Instant,
+        args: vec![("timeout_ms", ArgValue::U64(timeout_ms))],
+    });
+    telemetry.total_events += 1;
 }
 
-/// Runs one cell end to end: cache probe, attempt ladder, record.
+/// Runs one cell end to end: cache probe, one attempt, record.
 fn run_cell<'scope, 'env: 'scope>(
     ctx: &SweepCtx<'env>,
     index: usize,
@@ -389,126 +338,101 @@ fn run_cell<'scope, 'env: 'scope>(
         *ctx.slots[index].lock().expect("slot poisoned") = Some(record);
         ctx.cell_done();
     };
-    let record =
-        |outcome: Outcome, from_cache: bool, telemetry: Option<SessionReport>, attempts: u32| {
-            let failed = outcome.is_failure();
-            RunRecord {
-                index,
-                config: config.clone(),
-                seed,
-                cache_key: key.clone(),
-                outcome,
-                from_cache,
-                elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-                telemetry,
-                attempts,
-                quarantined: failed && attempts >= 2,
-                repro: (failed && attempts > 0).then(|| {
-                    format!(
-                        "{} --seed {} --force --only \"{}\"",
-                        exp.name(),
-                        ctx.master_seed,
-                        config.label()
-                    )
-                }),
-            }
-        };
+    let record = |outcome: Outcome, from_cache: bool, telemetry: Option<SessionReport>| {
+        let repro = matches!(outcome, Outcome::Failed { .. } | Outcome::TimedOut { .. });
+        RunRecord {
+            index,
+            config: config.clone(),
+            seed,
+            cache_key: key.clone(),
+            outcome,
+            from_cache,
+            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
+            telemetry,
+            repro: repro.then(|| {
+                format!(
+                    "{} --seed {} --force --only \"{}\"",
+                    exp.name(),
+                    ctx.master_seed,
+                    config.label()
+                )
+            }),
+        }
+    };
 
     // A tripped abort skips everything not yet started; cells already
     // in flight on other workers run to completion and are kept.
     if let Some(reason) = ctx.abort.reason() {
-        finish(record(Outcome::Skipped { reason }, false, None, 0));
+        finish(record(Outcome::Skipped { reason }, false, None));
         return;
     }
 
     if !opts.force && !opts.telemetry.observes() {
         if let Some(hit) = ctx.store.and_then(|s| s.load(&key)) {
-            finish(record(Outcome::Done(hit.artifact), true, None, 0));
+            finish(record(Outcome::Done(hit.artifact), true, None));
             return;
         }
     }
 
-    let max_attempts = opts.retries.saturating_add(1);
-    let mut attempt = 0u32;
-    let (outcome, telemetry) = loop {
-        attempt += 1;
-        match run_attempt(exp, config, seed, opts, scope) {
-            AttemptEnd::Finished(Ok(Ok(artifact)), telemetry) => {
-                if let Some(s) = ctx.store {
-                    // A failed persist degrades caching, not correctness.
-                    let _ = s.store(
-                        &key,
-                        config,
-                        seed,
-                        exp.version(),
-                        &artifact,
-                        t0.elapsed().as_secs_f64() * 1e3,
-                    );
-                }
-                break (Outcome::Done(artifact), telemetry);
-            }
-            AttemptEnd::Finished(Ok(Err(message)), telemetry) => {
-                if attempt >= max_attempts {
-                    break (
-                        Outcome::Failed {
-                            message,
-                            panicked: false,
-                        },
-                        telemetry,
-                    );
-                }
-            }
-            AttemptEnd::Finished(Err(payload), telemetry) => {
-                let message = sim_core::panic_payload_message(payload.as_ref());
-                let abort = message.starts_with("[monitor-abort]");
-                if abort {
-                    ctx.abort.trip(&message);
-                }
-                // An abort verdict is a judgement about the sweep, not a
-                // flaky cell: never retried.
-                if abort || attempt >= max_attempts {
-                    break (
-                        Outcome::Failed {
-                            message,
-                            panicked: true,
-                        },
-                        telemetry,
-                    );
-                }
-            }
-            AttemptEnd::Hung(telemetry) => {
-                if attempt >= max_attempts {
-                    let timeout_ms = opts.cell_timeout.map(|d| d.as_millis() as u64).unwrap_or(0);
-                    // Salvage whatever the hung attempt observed: its
-                    // partial session report rides on the record (and
-                    // into a sidecar tagged incomplete) instead of
-                    // vanishing with the stuck thread.
-                    break (Outcome::TimedOut { timeout_ms }, telemetry);
-                }
-            }
-            AttemptEnd::Died(telemetry) => {
-                break (
-                    Outcome::Failed {
-                        message: "attempt thread died before reporting a result".to_string(),
-                        panicked: true,
-                    },
-                    telemetry,
+    let (outcome, mut telemetry) = match run_attempt(exp, config, seed, opts, scope) {
+        AttemptEnd::Finished(Ok(Ok(artifact)), telemetry) => {
+            if let Some(s) = ctx.store {
+                // A failed persist degrades caching, not correctness.
+                let _ = s.store(
+                    &key,
+                    config,
+                    seed,
+                    exp.version(),
+                    &artifact,
+                    t0.elapsed().as_secs_f64() * 1e3,
                 );
             }
+            (Outcome::Done(artifact), telemetry)
         }
-        std::thread::sleep(retry_backoff(seed, attempt));
+        AttemptEnd::Finished(Ok(Err(message)), telemetry) => (
+            Outcome::Failed {
+                message,
+                panicked: false,
+            },
+            telemetry,
+        ),
+        AttemptEnd::Finished(Err(payload), telemetry) => {
+            let message = sim_core::panic_payload_message(payload.as_ref());
+            if message.starts_with("[monitor-abort]") {
+                ctx.abort.trip(&message);
+            }
+            (
+                Outcome::Failed {
+                    message,
+                    panicked: true,
+                },
+                telemetry,
+            )
+        }
+        // Salvage whatever the hung cell observed: its partial session
+        // report rides on the record (and into a sidecar tagged
+        // incomplete) instead of vanishing with the stuck thread.
+        AttemptEnd::Hung(telemetry) => {
+            let timeout_ms = opts.cell_timeout.map(|d| d.as_millis() as u64).unwrap_or(0);
+            (Outcome::TimedOut { timeout_ms }, telemetry)
+        }
+        AttemptEnd::Died(telemetry) => (
+            Outcome::Failed {
+                message: "attempt thread died before reporting a result".to_string(),
+                panicked: true,
+            },
+            telemetry,
+        ),
     };
-    let mut telemetry = telemetry;
-    if opts.telemetry.trace {
-        let quarantined = outcome.is_failure() && attempt >= 2;
-        if let Some(t) = telemetry.as_mut() {
-            append_supervisor_events(t, &outcome, attempt, quarantined);
-        }
+    if let (true, Outcome::TimedOut { timeout_ms }, Some(t)) =
+        (opts.telemetry.trace, &outcome, telemetry.as_mut())
+    {
+        append_watchdog_timeout(t, *timeout_ms);
     }
     if let Some(t) = &telemetry {
         ctx.events.fetch_add(t.total_events, Ordering::Relaxed);
     }
-    finish(record(outcome, false, telemetry, attempt));
+    finish(record(outcome, false, telemetry));
 }
 
 /// Takes configs off the shared cursor until it passes the end.
@@ -580,7 +504,6 @@ mod tests {
     use super::*;
     use crate::cli::Cli;
     use crate::experiment::Artifact;
-    use std::collections::HashMap;
 
     struct Parity;
 
@@ -636,7 +559,6 @@ mod tests {
             .repro
             .as_deref()
             .is_some_and(|r| r.contains("--only") && r.contains("i=13")));
-        assert!(!records[13].quarantined, "no retries -> no quarantine");
         match &records[21].outcome {
             Outcome::Failed { message, panicked } => {
                 assert!(!panicked);
@@ -653,7 +575,7 @@ mod tests {
         );
         assert!(records
             .iter()
-            .all(|r| r.attempts == 1 && r.repro.is_some() == r.outcome.is_failure()));
+            .all(|r| r.repro.is_some() == r.outcome.is_failure()));
     }
 
     #[test]
@@ -747,101 +669,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn backoff_is_seeded_exponential_and_deterministic() {
-        for attempt in 1..=8u32 {
-            assert_eq!(
-                retry_backoff(42, attempt),
-                retry_backoff(42, attempt),
-                "backoff must be a pure function"
-            );
-        }
-        // Exponential envelope: base doubles per rung (cap at rung 7),
-        // jitter stays below one base.
-        for attempt in 1..=6u32 {
-            let base = 25u64 << (attempt - 1);
-            let d = retry_backoff(7, attempt).as_millis() as u64;
-            assert!((base..2 * base).contains(&d), "attempt {attempt}: {d} ms");
-        }
-        assert_eq!(retry_backoff(7, 7), retry_backoff(7, 7));
-        assert!(retry_backoff(7, 60) < Duration::from_millis(2 * 25 * 64 + 1));
-        // Different cells decorrelate their jitter.
-        assert!((1..=8u32).any(|a| retry_backoff(1, a) != retry_backoff(2, a)));
-    }
-
-    /// A transiently-failing cell heals on retry with the same seed; a
-    /// deterministic failure climbs the whole ladder and is quarantined.
-    struct Flaky {
-        attempts_seen: Mutex<HashMap<u64, u32>>,
-    }
-
-    impl Experiment for Flaky {
-        fn name(&self) -> &'static str {
-            "flaky-unit"
-        }
-        fn params(&self, _cli: &Cli) -> Vec<Config> {
-            (0..6u64).map(|i| Config::new().with("i", i)).collect()
-        }
-        fn run(&self, config: &Config, seed: u64) -> Result<Artifact, String> {
-            let i = config.u64("i").expect("i");
-            // Count the attempt and release the lock before any panic,
-            // so a wobble never poisons the counter for other cells.
-            let n = {
-                let mut seen = self
-                    .attempts_seen
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let n = seen.entry(i).or_insert(0);
-                *n += 1;
-                *n
-            };
-            if i == 3 && n == 1 {
-                panic!("transient wobble");
-            }
-            if i == 5 {
-                return Err("deterministically bad".to_string());
-            }
-            Ok(Artifact::text(format!("cell {i} seed {seed}\n")))
-        }
-    }
-
-    #[test]
-    fn flaky_cell_heals_and_repeat_offender_is_quarantined() {
-        let exp = Flaky {
-            attempts_seen: Mutex::new(HashMap::new()),
-        };
-        let cfgs = exp.params(&Cli::default());
-        let records = execute(
-            &exp,
-            &cfgs,
-            3,
-            None,
-            &ExecOptions {
-                threads: 2,
-                retries: 1,
-                ..Default::default()
-            },
-        );
-        // The wobbly cell healed on its second attempt.
-        assert!(matches!(records[3].outcome, Outcome::Done(_)));
-        assert_eq!(records[3].attempts, 2);
-        assert!(!records[3].quarantined);
-        assert!(records[3].repro.is_none());
-        // The deterministic failure burned every attempt and is
-        // quarantined with a paste-ready repro.
-        assert!(matches!(records[5].outcome, Outcome::Failed { .. }));
-        assert_eq!(records[5].attempts, 2);
-        assert!(records[5].quarantined);
-        let repro = records[5].repro.as_deref().expect("repro command");
-        assert!(
-            repro.contains("flaky-unit") && repro.contains("--only \"i=5\""),
-            "got: {repro}"
-        );
-        assert!(repro.contains("--seed 3") && repro.contains("--force"));
-        // Healthy cells ran exactly once.
-        assert!(records[..3].iter().all(|r| r.attempts == 1));
-    }
-
     /// A cell that sleeps past the watchdog budget is recorded as
     /// `TimedOut` while the rest of the sweep completes normally.
     struct Sleeper;
@@ -872,7 +699,6 @@ mod tests {
             &ExecOptions {
                 threads: 2,
                 cell_timeout: Some(Duration::from_millis(40)),
-                retries: 1,
                 ..Default::default()
             },
         );
@@ -880,8 +706,6 @@ mod tests {
             Outcome::TimedOut { timeout_ms } => assert_eq!(*timeout_ms, 40),
             other => panic!("expected timeout, got {other:?}"),
         }
-        assert_eq!(records[2].attempts, 2, "a hung attempt is retried");
-        assert!(records[2].quarantined);
         assert!(records[2]
             .repro
             .as_deref()
@@ -930,75 +754,25 @@ mod tests {
         // Healthy cells carry no supervision verdicts.
         for i in [0usize, 1, 3] {
             let t = records[i].telemetry.as_ref().expect("telemetry");
-            assert!(t
-                .events
-                .iter()
-                .all(|e| !matches!(e.name, "watchdog_timeout" | "retry" | "quarantine")));
+            assert!(t.events.iter().all(|e| e.name != "watchdog_timeout"));
         }
     }
 
-    /// Retry and quarantine verdicts appear as synthesized trace
-    /// events; a healed cell shows its retry but no quarantine.
-    #[test]
-    fn supervisor_events_mark_retries_and_quarantine() {
-        let exp = Flaky {
-            attempts_seen: Mutex::new(HashMap::new()),
-        };
-        let records = execute(
-            &exp,
-            &exp.params(&Cli::default()),
-            3,
-            None,
-            &ExecOptions {
-                threads: 2,
-                retries: 1,
-                telemetry: TelemetrySpec {
-                    trace: true,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        let names = |i: usize| -> Vec<&str> {
-            records[i]
-                .telemetry
-                .as_ref()
-                .expect("telemetry")
-                .events
-                .iter()
-                .map(|e| e.name)
-                .collect()
-        };
-        // Cell 3 healed on attempt 2: one retry, no quarantine.
-        let healed = names(3);
-        assert_eq!(healed.iter().filter(|n| **n == "retry").count(), 1);
-        assert!(!healed.contains(&"quarantine"), "got {healed:?}");
-        // Cell 5 burned the ladder: retry + quarantine.
-        let bad = names(5);
-        assert!(
-            bad.contains(&"retry") && bad.contains(&"quarantine"),
-            "got {bad:?}"
-        );
-    }
-
     /// The synthesized supervisor track is deterministic: the same
-    /// flaky sweep renders byte-identical trace JSON at any thread
-    /// count, because the events are derived from per-cell attempt
-    /// state (never wall-clock) and pinned at ts 0.
+    /// watchdog sweep renders byte-identical trace JSON at any thread
+    /// count, because the `watchdog_timeout` instant carries only the
+    /// budget (never wall-clock) and is pinned at ts 0.
     #[test]
     fn supervisor_track_is_thread_count_invariant() {
         let trace = |threads: usize| {
-            let exp = Flaky {
-                attempts_seen: Mutex::new(HashMap::new()),
-            };
             let records = execute(
-                &exp,
-                &exp.params(&Cli::default()),
-                3,
+                &Sleeper,
+                &Sleeper.params(&Cli::default()),
+                0,
                 None,
                 &ExecOptions {
                     threads,
-                    retries: 1,
+                    cell_timeout: Some(Duration::from_millis(40)),
                     telemetry: TelemetrySpec {
                         trace: true,
                         ..Default::default()
@@ -1020,8 +794,8 @@ mod tests {
         };
         let serial = trace(1);
         assert!(
-            serial.contains("\"retry\"") && serial.contains("\"quarantine\""),
-            "supervisor events missing from trace"
+            serial.contains("\"watchdog_timeout\""),
+            "supervisor event missing from trace"
         );
         assert_eq!(
             serial,
@@ -1031,7 +805,7 @@ mod tests {
     }
 
     /// A `[monitor-abort]` panic stops the sweep: the offending cell is
-    /// failed without retry, and cells not yet started are skipped.
+    /// failed, and cells not yet started are skipped.
     struct Aborter;
 
     impl Experiment for Aborter {
@@ -1060,7 +834,6 @@ mod tests {
             None,
             &ExecOptions {
                 threads: 1,
-                retries: 3,
                 ..Default::default()
             },
         );
@@ -1071,7 +844,6 @@ mod tests {
             }
             other => panic!("expected abort failure, got {other:?}"),
         }
-        assert_eq!(records[1].attempts, 1, "abort verdicts are never retried");
         for r in &records[2..] {
             match &r.outcome {
                 Outcome::Skipped { reason } => {
@@ -1079,7 +851,7 @@ mod tests {
                 }
                 other => panic!("cell {} should be skipped, got {other:?}", r.index),
             }
-            assert_eq!(r.attempts, 0);
+            assert!(r.repro.is_none(), "a skipped cell never ran");
         }
     }
 }

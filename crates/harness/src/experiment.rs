@@ -212,14 +212,8 @@ pub struct RunRecord {
     /// was off or the artifact came from the cache). Never part of the
     /// artifact or its digest.
     pub telemetry: Option<ragnar_telemetry::SessionReport>,
-    /// How many times the cell actually executed (0 for cache hits and
-    /// skipped cells, ≥ 2 when the retry ladder was climbed).
-    pub attempts: u32,
-    /// Whether the cell exhausted its retry budget and was quarantined
-    /// as a repeat offender.
-    pub quarantined: bool,
-    /// A ready-to-paste minimal-repro command for terminally failed
-    /// cells (`None` for successes).
+    /// A ready-to-paste minimal-repro command for failed and timed-out
+    /// cells (`None` otherwise).
     pub repro: Option<String>,
 }
 

@@ -10,8 +10,10 @@
 //! * [`executor`] — a parallel sweep executor whose workers (the
 //!   caller among them) take configs off one shared cursor, with
 //!   deterministic per-config seed derivation (results are identical at
-//!   any `--threads`), per-config panic isolation and a worker-printed
-//!   `progress:` line for sweeps longer than 2 s.
+//!   any `--threads`), per-config panic isolation, an optional per-cell
+//!   watchdog and a worker-printed `progress:` line for sweeps longer
+//!   than 2 s. Each cell runs once: it is a pure function of its config
+//!   and seed, so there is nothing a retry could change.
 //! * [`cache`] — a content-addressed result store under `results/`:
 //!   each cell is keyed by a hash of (experiment, config, seed, code
 //!   version), making re-runs incremental and interrupted sweeps
@@ -22,8 +24,6 @@
 //!   `report.md`): merged counters, exact bucket-merged histograms,
 //!   per-tenant SLO rows, supervision summary and — under `--profile` —
 //!   the engine phase breakdown.
-//! * [`diff`] — `bench-diff`: thresholded numeric comparison of two run
-//!   reports (the CI perf-regression gate).
 //! * [`cli`] — the shared command line (`--seed`, `--threads`,
 //!   `--quick`, `--force`, …) and [`run_main`], the entire `main` of an
 //!   experiment binary.
@@ -52,7 +52,6 @@
 
 pub mod cache;
 pub mod cli;
-pub mod diff;
 pub mod executor;
 pub mod experiment;
 pub mod hash;
@@ -62,8 +61,7 @@ pub mod value;
 
 pub use cache::ResultStore;
 pub use cli::{run_main, run_with_cli, Cli};
-pub use diff::{diff_values, DiffReport};
-pub use executor::{config_seed, retry_backoff, ExecOptions, TelemetrySpec};
+pub use executor::{config_seed, ExecOptions, TelemetrySpec};
 pub use experiment::{Artifact, Config, Experiment, Outcome, RunRecord};
 pub use manifest::Manifest;
 pub use report::RunReport;

@@ -35,12 +35,10 @@ pub struct Manifest {
     /// Configs that did not produce an artifact (error, panic, timeout
     /// or skip); this is what drives the process exit code.
     pub failed: usize,
-    /// Configs whose every attempt overran the cell watchdog.
+    /// Configs that overran the cell watchdog.
     pub timed_out: usize,
     /// Configs never started because the sweep aborted first.
     pub skipped: usize,
-    /// Configs quarantined after exhausting their retry budget.
-    pub quarantined: usize,
     /// Whether a `[monitor-abort]` violation stopped the sweep early.
     pub aborted: bool,
     /// End-to-end wall time of the invocation, ms.
@@ -73,10 +71,6 @@ pub struct CellStat {
     pub dropped_events: u64,
     /// Samples recorded across the cell's metrics histograms.
     pub metric_samples: u64,
-    /// How many times the cell executed (0 = cache hit or skipped).
-    pub attempts: u32,
-    /// Whether the cell was quarantined as a repeat offender.
-    pub quarantined: bool,
     /// Ready-to-paste minimal-repro command for failed cells.
     pub repro: Option<String>,
 }
@@ -101,7 +95,6 @@ impl Manifest {
             .iter()
             .filter(|r| matches!(r.outcome, Outcome::Skipped { .. }))
             .count();
-        let quarantined = records.iter().filter(|r| r.quarantined).count();
         let aborted = records.iter().any(|r| match &r.outcome {
             Outcome::Failed { message, .. } => message.starts_with("[monitor-abort]"),
             Outcome::Skipped { .. } => true,
@@ -150,8 +143,6 @@ impl Manifest {
                     events,
                     dropped_events: dropped,
                     metric_samples: samples,
-                    attempts: r.attempts,
-                    quarantined: r.quarantined,
                     repro: r.repro.clone(),
                 }
             })
@@ -167,7 +158,6 @@ impl Manifest {
             failed,
             timed_out,
             skipped,
-            quarantined,
             aborted,
             wall_ms,
             stages,
@@ -202,7 +192,6 @@ impl Manifest {
         v.set("configs_failed", self.failed);
         v.set("configs_timed_out", self.timed_out);
         v.set("configs_skipped", self.skipped);
-        v.set("configs_quarantined", self.quarantined);
         v.set("aborted", self.aborted);
         v.set("wall_ms", self.wall_ms);
         let mut stages = Value::object();
@@ -225,8 +214,6 @@ impl Manifest {
                 cell.set("events", c.events);
                 cell.set("dropped_events", c.dropped_events);
                 cell.set("metric_samples", c.metric_samples);
-                cell.set("attempts", u64::from(c.attempts));
-                cell.set("quarantined", c.quarantined);
                 if let Some(repro) = &c.repro {
                     cell.set("repro", repro.as_str());
                 }
@@ -269,9 +256,6 @@ impl Manifest {
         if self.timed_out > 0 {
             line.push_str(&format!("; {} timed out", self.timed_out));
         }
-        if self.quarantined > 0 {
-            line.push_str(&format!("; {} quarantined", self.quarantined));
-        }
         if self.aborted {
             line.push_str(&format!("; ABORTED ({} skipped)", self.skipped));
         }
@@ -297,8 +281,6 @@ mod tests {
             from_cache: cached,
             elapsed_ms: 1.0,
             telemetry: None,
-            attempts: if cached { 0 } else { 1 },
-            quarantined: false,
             repro: None,
         }
     }
@@ -326,14 +308,12 @@ mod tests {
 
     #[test]
     fn supervision_outcomes_are_counted_and_folded_into_the_digest() {
-        let mut quarantined =
+        let mut timed_out =
             with_outcome(record(1, "", false), Outcome::TimedOut { timeout_ms: 50 });
-        quarantined.attempts = 3;
-        quarantined.quarantined = true;
-        quarantined.repro = Some("unit --seed 1 --force --only \"i=1\"".to_string());
+        timed_out.repro = Some("unit --seed 1 --force --only \"i=1\"".to_string());
         let records = vec![
             record(0, "x", false),
-            quarantined,
+            timed_out,
             with_outcome(
                 record(2, "", false),
                 Outcome::Skipped {
@@ -343,7 +323,7 @@ mod tests {
         ];
         let m = Manifest::from_records("unit", 1, 2, &records, vec![], 10.0);
         assert_eq!((m.total, m.executed, m.failed), (3, 2, 2));
-        assert_eq!((m.timed_out, m.skipped, m.quarantined), (1, 1, 1));
+        assert_eq!((m.timed_out, m.skipped), (1, 1));
         assert!(m.aborted);
         let line = m.summary_line();
         assert!(
@@ -369,7 +349,6 @@ mod tests {
             cells[1].get("repro").and_then(Value::as_str),
             Some("unit --seed 1 --force --only \"i=1\"")
         );
-        assert_eq!(cells[1].get("attempts").and_then(Value::as_i64), Some(3));
         assert_eq!(v.get("aborted").and_then(Value::as_bool), Some(true));
     }
 

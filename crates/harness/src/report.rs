@@ -9,10 +9,8 @@
 //! Layout discipline: everything outside the `"timing"` section is
 //! deterministic (counters, exact bucket-merged histograms, event
 //! counts, outcome tallies — pure functions of seed and config), so two
-//! runs of the same build can be compared field-for-field by
-//! `bench-diff`. Wall-clock material (stage timings, the phase
-//! profile) lives only under `"timing"`, which `bench-diff` skips by
-//! default.
+//! runs of the same build agree field for field. Wall-clock material
+//! (stage timings, the phase profile) lives only under `"timing"`.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -67,11 +65,9 @@ pub struct RunReport {
     pub histograms: Vec<MergedHistogram>,
     /// Per-tenant latency-SLO rows harvested from artifact metrics.
     pub slo: Vec<SloRow>,
-    /// Cells whose telemetry was salvaged from a failed/timed-out
-    /// attempt (their metrics cover only the portion that ran).
+    /// Cells whose telemetry was salvaged from a failed/timed-out run
+    /// (their metrics cover only the portion that ran).
     pub incomplete_cells: usize,
-    /// Attempts beyond the first, summed over cells.
-    pub retries: u64,
     /// The engine phase profile, when `--profile` was on.
     pub profile: Option<ProfileReport>,
 }
@@ -86,9 +82,7 @@ impl RunReport {
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut merged: BTreeMap<String, (usize, Histogram)> = BTreeMap::new();
         let mut incomplete_cells = 0usize;
-        let mut retries = 0u64;
         for r in records {
-            retries += u64::from(r.attempts.saturating_sub(1));
             if r.outcome.is_failure() && r.telemetry.is_some() {
                 incomplete_cells += 1;
             }
@@ -120,7 +114,6 @@ impl RunReport {
             histograms,
             slo: slo_rows(records),
             incomplete_cells,
-            retries,
             profile,
         }
     }
@@ -140,11 +133,9 @@ impl RunReport {
         cells.set("failed", m.failed);
         cells.set("timed_out", m.timed_out);
         cells.set("skipped", m.skipped);
-        cells.set("quarantined", m.quarantined);
         cells.set("aborted", m.aborted);
         cells.set("incomplete_telemetry", self.incomplete_cells);
         v.set("cells", cells);
-        v.set("retries", self.retries);
         v.set("telemetry_events", m.telemetry_events);
         let mut counters = Value::object();
         for (name, value) in &self.counters {
@@ -219,10 +210,10 @@ impl RunReport {
 
         out.push_str("\n## Supervision\n\n");
         out.push_str(&format!(
-            "| retries | timed out | quarantined | skipped | aborted | salvaged telemetry |\n\
-             |---|---|---|---|---|---|\n\
-             | {} | {} | {} | {} | {} | {} |\n",
-            self.retries, m.timed_out, m.quarantined, m.skipped, m.aborted, self.incomplete_cells,
+            "| timed out | skipped | aborted | salvaged telemetry |\n\
+             |---|---|---|---|\n\
+             | {} | {} | {} | {} |\n",
+            m.timed_out, m.skipped, m.aborted, self.incomplete_cells,
         ));
         out.push_str(&format!(
             "\nCache: {} of {} cells served from the store ({:.0}% hit rate).\n",
@@ -366,8 +357,6 @@ mod tests {
                 metrics: m.report(),
                 ..Default::default()
             }),
-            attempts: 1,
-            quarantined: false,
             repro: None,
         }
     }
@@ -483,7 +472,7 @@ mod tests {
             .expect("hist");
         assert_eq!(h.get("count").and_then(Value::as_i64), Some(1));
         assert!(h.get("p99_ps").is_some());
-        // Wall-clock material is quarantined under "timing".
+        // Wall-clock material lives only under "timing".
         let timing = v.get("timing").expect("timing");
         assert!(timing.get("wall_ms").is_some());
         assert!(timing.get("profile").is_some());

@@ -346,43 +346,61 @@ fn only_filter_restricts_the_sweep() {
 }
 
 #[test]
-fn cli_retries_heal_a_transient_cell() {
-    struct Wobbly {
+fn failing_cell_runs_once_and_carries_a_repro() {
+    struct Failing {
         tried: AtomicUsize,
     }
-    impl Experiment for Wobbly {
+    impl Experiment for Failing {
         fn name(&self) -> &'static str {
-            "harness_itest_wobbly"
+            "harness_itest_failing"
         }
         fn params(&self, _cli: &Cli) -> Vec<Config> {
             (0..3u64).map(|i| Config::new().with("cell", i)).collect()
         }
         fn run(&self, config: &Config, _seed: u64) -> Result<Artifact, String> {
-            if config.u64("cell") == Some(1) && self.tried.fetch_add(1, Ordering::SeqCst) == 0 {
-                return Err("transient".to_string());
+            if config.u64("cell") == Some(1) {
+                self.tried.fetch_add(1, Ordering::SeqCst);
+                return Err("bad cell".to_string());
             }
             Ok(Artifact::text("ok\n"))
         }
     }
-    let results = temp_results("retries");
-    let exp = Wobbly {
+    let results = temp_results("failing");
+    let exp = Failing {
         tried: AtomicUsize::new(0),
     };
-    let mut args = cli(&results, 1, 0);
-    args.retries = 1;
-    let failed = run_with_cli(&exp, &args).expect("sweep completes");
-    assert_eq!(failed, 0, "the wobble healed on retry");
-    assert_eq!(exp.tried.load(Ordering::SeqCst), 2);
-    // The manifest records the extra attempt on the healed cell.
-    let raw = std::fs::read_to_string(results.join("harness_itest_wobbly/manifest.json"))
+    let failed = run_with_cli(&exp, &cli(&results, 1, 0)).expect("sweep completes");
+    assert_eq!(failed, 1);
+    // One attempt: nothing re-runs a failed cell.
+    assert_eq!(exp.tried.load(Ordering::SeqCst), 1);
+    let raw = std::fs::read_to_string(results.join("harness_itest_failing/manifest.json"))
         .expect("manifest");
     let manifest = Value::parse(&raw).expect("parse");
     let cells = match manifest.get("cells") {
         Some(Value::Array(cells)) => cells.clone(),
         other => panic!("cells missing: {other:?}"),
     };
-    assert_eq!(cells[1].get("attempts").and_then(Value::as_i64), Some(2));
-    assert_eq!(cells[0].get("attempts").and_then(Value::as_i64), Some(1));
+    let repro = cells[1]
+        .get("repro")
+        .and_then(Value::as_str)
+        .expect("repro present");
+    assert!(repro.contains("--only \"cell=1\""), "got: {repro}");
+    // Per-cell keys: no attempt count or retry verdict, and a repro
+    // only on the failed cell.
+    let keys = |cell: &Value| match cell {
+        Value::Object(entries) => entries.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("cell is not an object: {other:?}"),
+    };
+    let common = [
+        "label",
+        "from_cache",
+        "elapsed_ms",
+        "events",
+        "dropped_events",
+        "metric_samples",
+    ];
+    assert_eq!(keys(&cells[0]), common);
+    assert_eq!(keys(&cells[1]), [&common[..], &["repro"]].concat());
     let _ = std::fs::remove_dir_all(&results);
 }
 

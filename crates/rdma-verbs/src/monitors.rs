@@ -25,7 +25,7 @@
 //! Violations follow the configured [`ragnar_telemetry::ViolationPolicy`]:
 //! `Log` counts them (and bumps a `monitor.violations` telemetry
 //! counter), `FailCell` panics with a `[monitor]` prefix so the harness
-//! fails and retries the one cell, `AbortRun` panics with a
+//! fails the one cell, `AbortRun` panics with a
 //! `[monitor-abort]` prefix the harness recognizes as "stop the whole
 //! sweep — the simulator itself is broken".
 

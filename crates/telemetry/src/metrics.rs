@@ -173,7 +173,7 @@ impl MetricsReport {
 
     /// Encodes the report as compact JSON, optionally tagging it
     /// `"incomplete": true` — the salvage-path marker for metrics
-    /// harvested from timed-out or quarantined cells, whose counts only
+    /// harvested from failed or timed-out cells, whose counts only
     /// cover the portion of the cell that actually ran.
     pub fn to_json_tagged(&self, incomplete: bool) -> String {
         let mut out = String::with_capacity(256);
