@@ -16,10 +16,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace)"
 cargo test -q --workspace --offline
 
-echo "== chaos smoke: seeded fault plans through fig4_contention"
+echo "== chaos smoke: seeded fault plans through fig4_contention, under the monitors"
+# A monitor violation fails its cell, and a failed cell fails the exit code.
 for chaos_seed in 1 2 3; do
     cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-        --quick --no-cache --chaos-seed "$chaos_seed" > /dev/null
+        --quick --no-cache --chaos-seed "$chaos_seed" --monitors fail-cell > /dev/null
 done
 
 # A throwaway directory for the smokes' output files, so neither the

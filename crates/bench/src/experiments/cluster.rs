@@ -337,7 +337,7 @@ impl Experiment for NoisyNeighbor {
         } else {
             pctl(&bystanders, 0.99)
         };
-        let drops = sim.dropped_packets();
+        let drops = sim.fabric_stats().dropped;
         let overrun_count = *overruns.borrow();
         let pauses: u64 = (0..n_links)
             .filter_map(|i| sim.link_counters(LinkId(i as u32)))

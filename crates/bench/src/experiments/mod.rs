@@ -87,10 +87,10 @@ pub(crate) fn chaos_plan(config: &Config) -> Result<Option<FaultPlan>, String> {
 }
 
 /// Threads `--topology` into each config, so the fabric is part of
-/// every cache key (a leaf-spine run never collides with a
-/// point-to-point run, and two spellings of the same fabric share
-/// cells — the CLI validated and canonicalized the spec at parse
-/// time). Absent flag ⇒ configs untouched ⇒ legacy digests untouched.
+/// every cache key (a leaf-spine run never collides with a `p2p` run,
+/// and two spellings of the same fabric share cells — the CLI validated
+/// and canonicalized the spec at parse time). Absent flag ⇒ configs
+/// untouched ⇒ digests untouched.
 pub(crate) fn topology_configs(configs: Vec<Config>, cli: &Cli) -> Vec<Config> {
     let Some(spec) = &cli.topology else {
         return configs;
@@ -102,7 +102,7 @@ pub(crate) fn topology_configs(configs: Vec<Config>, cli: &Cli) -> Vec<Config> {
 }
 
 /// Rebuilds the fabric recorded by [`topology_configs`] (`None` for
-/// legacy point-to-point cells).
+/// cells that name none, which run on the default `p2p` crossbar).
 pub(crate) fn topology_from(config: &Config) -> Result<Option<rdma_verbs::Topology>, String> {
     match config.str("topology") {
         Some(s) => rdma_verbs::Topology::from_spec(s)

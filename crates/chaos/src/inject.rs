@@ -48,7 +48,7 @@ pub struct InjectorStats {
     pub delayed: u64,
 }
 
-/// Interprets a [`FaultPlan`] at the wire hop.
+/// Interprets a [`FaultPlan`] at every link a packet crosses.
 ///
 /// All probabilistic draws come from the injector's own RNG stream
 /// (`derive(plan.seed, "chaos-inject")`), so installing a plan never

@@ -8,9 +8,9 @@
 //!   events ([`FaultKind`]): per-link loss bursts, link up/down flaps,
 //!   reordering windows, duplication, payload corruption (dropped at the
 //!   receiver as an ICRC failure), and NIC stalls.
-//! * [`FaultInjector`] — interprets a plan at the wire hop
-//!   (`rdma-verbs`'s `Transmit` action), returning a [`Verdict`] per
-//!   packet and folding every fault into a deterministic trace digest.
+//! * [`FaultInjector`] — interprets a plan at every link a packet
+//!   crosses in `rdma-verbs`, returning a [`Verdict`] per crossing and
+//!   folding every fault into a deterministic trace digest.
 //! * Invariant oracles — [`FabricStats::conserved`] (packet conservation)
 //!   and [`WrLedger`] (every posted WR completes exactly once), checked
 //!   by the chaos property suites under randomized plans.
@@ -34,7 +34,7 @@
 //!
 //! let mut inj = FaultInjector::new(plan);
 //! let verdict = inj.verdict(SimTime::from_micros(250), HostId(0), HostId(1));
-//! let _ = verdict.drop; // fabric applies the verdict at the wire hop
+//! let _ = verdict.drop; // the fabric applies the verdict at the link
 //! ```
 
 #![warn(missing_docs)]

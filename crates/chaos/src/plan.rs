@@ -3,22 +3,23 @@
 //! A [`FaultPlan`] is either generated from a seed (the property suite's
 //! randomized plans) or written by hand / parsed from a file (the
 //! `--chaos-plan` CLI flag). Plans are pure data: the injector in
-//! [`crate::inject`] interprets them at the wire hop.
+//! [`crate::inject`] interprets them at every link crossing.
 
 use rnic_model::HostId;
 use sim_core::{SimDuration, SimRng, SimTime};
 
-/// Which fabric link a fault event applies to.
+/// Which packets a fault event applies to, by endpoint.
 ///
-/// The simulated fabric is a star: every host has one link to the switch,
-/// so "link" and "host" coincide. An event matches a packet when the
-/// selector is [`LinkSelector::Any`] or names the packet's source *or*
-/// destination host.
+/// An event matches a packet when the selector is [`LinkSelector::Any`]
+/// or names the packet's source *or* destination host. The injector
+/// asks at every link the packet crosses: once on the default `p2p`
+/// crossbar, where a host pair's link is the pair itself, and once per
+/// hop on a multi-hop fabric, so loss compounds along the path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkSelector {
     /// Every link in the fabric.
     Any,
-    /// The link of one host (matches packets it sends or receives).
+    /// The links of one host (matches packets it sends or receives).
     Host(HostId),
 }
 
@@ -48,8 +49,11 @@ pub enum FaultKind {
         /// Maximum extra delay.
         window: SimDuration,
     },
-    /// Deliver each matching packet twice with probability `prob` (the
-    /// duplicate arrives one switch hop later).
+    /// Deliver each matching packet twice with probability `prob`. The
+    /// copy forks where the packet enters the fabric: on the `p2p`
+    /// crossbar it arrives one switch latency (200 ns) after the
+    /// original; on a multi-hop fabric it crosses the first link again,
+    /// queued behind the original.
     Duplicate {
         /// Per-packet duplication probability in `[0, 1]`.
         prob: f64,

@@ -13,7 +13,7 @@
 //! --chaos-seed <u64>  generate + install a seeded fault plan (changes
 //!                     cache keys)
 //! --chaos-plan <file> install a fault plan from a serialized plan file
-//! --topology <spec> run on a multi-hop fabric (`p2p:hosts=N`,
+//! --topology <spec> run on a given fabric (`p2p:hosts=N`,
 //!                   `leaf-spine:hosts=H,leaves=L,spines=S`,
 //!                   `fat-tree:k=K`; canonicalized into configs, so it
 //!                   changes cache keys)
@@ -43,7 +43,7 @@
 //!
 //! An experiment that ignores `--topology` or the chaos flags (none of
 //! its configs carries the `topology` or `chaos_seed`/`chaos_plan` key)
-//! rejects them instead of silently serving fault-free, single-switch
+//! rejects them instead of silently serving fault-free, default-fabric
 //! results.
 //!
 //! Experiment-specific switches (fig4's `--full`, fig13's `--coarse`,
@@ -91,8 +91,8 @@ pub struct Cli {
     pub chaos_plan: Option<PathBuf>,
     /// Fabric spec (`--topology`), validated at parse time and held in
     /// canonical spelling so every cell keyed on it shares one form.
-    /// `None` (default) keeps the legacy point-to-point wire — and its
-    /// pinned digests — untouched.
+    /// `None` (default) keeps each experiment's own fabric (the `p2p`
+    /// crossbar unless it names one) and configs untouched.
     pub topology: Option<String>,
     /// Where to write the Perfetto/Chrome trace JSON (`--trace`). `None`
     /// (default) disables tracing. Excluded from configs and cache keys

@@ -5,7 +5,8 @@
 //! registered memory regions, connected RC queue pairs, work/completion
 //! queues, plus an `mlnx_qos` equivalent for ETS traffic-class
 //! configuration — all driving [`rnic_model::Rnic`] instances connected
-//! through a switch in a deterministic event loop.
+//! by a fabric (the ideal `p2p` crossbar unless a [`Topology`] is given)
+//! in a deterministic event loop.
 //!
 //! Attack code, victims and measurement drivers are [`App`]s: event-driven
 //! state machines reacting to completions and timers via [`Ctx`].

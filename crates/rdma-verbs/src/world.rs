@@ -1,5 +1,6 @@
-//! The simulated fabric: hosts, their RNICs, a switch, and the global
-//! event loop that also dispatches application callbacks.
+//! The simulated fabric: hosts, their RNICs, the wire between them (a
+//! [`Topology`], by default the `p2p` crossbar), and the global event
+//! loop that also dispatches application callbacks.
 
 use crate::wr::WorkRequest;
 use ragnar_chaos::{FabricStats, FaultInjector, FaultPlan, InjectorStats};
@@ -7,15 +8,14 @@ use ragnar_telemetry::profile::{self, Phase};
 use ragnar_telemetry::{ActorId, ArgValue, Metrics, Target, Tracer};
 use ragnar_topology::{
     FabricRuntime, FlowKey, LinkId, NodeId, PfcPortConfig, PortCounters, Route, Topology,
+    SWITCH_FORWARD,
 };
 use rnic_model::{
     AccessFlags, ArenaStats, Cqe, DeviceProfile, HostMemory, MrEntry, MrKey, NicAction,
     NicCounters, NicEvent, PacketArena, PacketHandle, PdId, PostError, QpConfig, QpNum,
     QpTransport, RecvWqe, ResetError, Rnic, TrafficClass,
 };
-use sim_core::{
-    CalendarQueue, Digest64, EventHandle, FxHashMap, ReferenceQueue, SimDuration, SimRng, SimTime,
-};
+use sim_core::{CalendarQueue, Digest64, FxHashMap, ReferenceQueue, SimDuration, SimRng, SimTime};
 
 /// Typed error for the user-facing [`Simulation`] and [`Ctx`] verbs APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,30 +134,6 @@ impl WorldQueue {
         }
     }
 
-    /// Schedules and returns the handle when the backend supports
-    /// in-place payload amendment (the calendar queue). The reference
-    /// oracle deliberately returns `None` so hop batching never engages
-    /// there — keeping it a batching-free differential baseline.
-    fn schedule_tracked(&mut self, at: SimTime, event: WorldEvent) -> Option<EventHandle> {
-        match self {
-            WorldQueue::Calendar(q) => Some(q.schedule(at, event)),
-            WorldQueue::Reference(q) => {
-                q.schedule(at, event);
-                None
-            }
-        }
-    }
-
-    /// In-place access to a still-pending event's payload (calendar
-    /// backend only; `None` once fired/cancelled or on the reference
-    /// oracle).
-    fn event_mut(&mut self, handle: EventHandle) -> Option<&mut WorldEvent> {
-        match self {
-            WorldQueue::Calendar(q) => q.event_mut(handle),
-            WorldQueue::Reference(_) => None,
-        }
-    }
-
     fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, WorldEvent)> {
         match self {
             WorldQueue::Calendar(q) => q.pop_before(deadline),
@@ -262,50 +238,6 @@ impl Default for ConnectOptions {
     }
 }
 
-/// Inline set of packets sharing one `Hop` event: same link, same
-/// instant, same corruption verdict. Most hops carry exactly one packet
-/// (link serialization spreads arrivals over distinct instants); the
-/// batch exists so that when a burst *does* land on one `(link, tick)`
-/// the world pays one queue cell for the whole burst instead of one per
-/// packet. Capacity is fixed and small — a full batch simply spills
-/// into a fresh event.
-#[derive(Debug, Clone, Copy)]
-struct HopBatch {
-    pkts: [PacketHandle; HopBatch::CAP],
-    len: u8,
-}
-
-impl HopBatch {
-    const CAP: usize = 4;
-
-    fn one(h: PacketHandle) -> HopBatch {
-        let mut pkts = [PacketHandle::DANGLING; HopBatch::CAP];
-        pkts[0] = h;
-        HopBatch { pkts, len: 1 }
-    }
-
-    /// Appends a packet; `false` when the batch is full (caller starts a
-    /// new event).
-    fn push(&mut self, h: PacketHandle) -> bool {
-        if usize::from(self.len) == HopBatch::CAP {
-            return false;
-        }
-        self.pkts[usize::from(self.len)] = h;
-        self.len += 1;
-        true
-    }
-
-    fn len(&self) -> u8 {
-        self.len
-    }
-
-    /// Handles in enqueue order — the order an unbatched run would have
-    /// popped the separate events in.
-    fn iter(&self) -> impl Iterator<Item = PacketHandle> + '_ {
-        self.pkts[..usize::from(self.len)].iter().copied()
-    }
-}
-
 /// Events of the global loop.
 #[derive(Debug)]
 enum WorldEvent {
@@ -317,13 +249,12 @@ enum WorldEvent {
         /// receiver's ICRC check discards the packet on arrival.
         corrupt: bool,
     },
-    /// Packets crossing one physical link of their ECMP route (only
-    /// scheduled when a topology is installed; the point-to-point world
-    /// keeps the single-hop `Deliver` path untouched).
+    /// A packet reaching a queued link of its route. Ideal links (the
+    /// `p2p` crossbar's) are crossed inline and never cost a `Hop`.
     Hop {
         route: Route,
         hop: u8,
-        pkts: HopBatch,
+        pkt: PacketHandle,
         corrupt: bool,
     },
     Timer {
@@ -357,20 +288,7 @@ pub trait App {
     }
 }
 
-/// The most recently scheduled `Hop` event, kept only while no other
-/// enqueue has intervened — the one situation where appending another
-/// packet to that event's batch is provably order-preserving (see
-/// [`World::enqueue_hop`]).
-#[derive(Debug, Clone, Copy)]
-struct HopTail {
-    handle: EventHandle,
-    at: SimTime,
-    route: Route,
-    hop: u8,
-    corrupt: bool,
-}
-
-/// State shared by the fabric: NICs, routing, allocators.
+/// State shared by the fabric: NICs, the wire, allocators.
 struct World {
     queue: WorldQueue,
     /// Slab arena every in-flight wire packet lives in. Events, egress
@@ -378,13 +296,6 @@ struct World {
     /// bytes are written once at build time and read in place until the
     /// NIC that consumes it takes or frees the slot.
     arena: PacketArena,
-    /// See [`HopTail`]; cleared by every non-coalescing enqueue.
-    hop_tail: Option<HopTail>,
-    /// Packets that rode an existing `Hop` event instead of costing
-    /// their own queue cell. Counted back into
-    /// [`Simulation::events_processed`] so batching never changes the
-    /// reported event totals.
-    coalesced_hops: u64,
     /// Reusable action buffer: NIC dispatches append into this instead
     /// of allocating a fresh `Vec` per event (the queue swap removed the
     /// per-event cell allocation; this removes the per-event action
@@ -392,7 +303,6 @@ struct World {
     scratch: Vec<NicAction>,
     nics: Vec<Rnic>,
     qp_owner: FxHashMap<(HostId, QpNum), AppId>,
-    switch_latency: SimDuration,
     next_qp: u32,
     next_mr: u32,
     next_pd: u32,
@@ -400,20 +310,16 @@ struct World {
     orphan_cqes: Vec<(HostId, Cqe)>,
     stopped: bool,
     rng: SimRng,
-    /// Probability that any wire packet is dropped by the fabric
-    /// (deterministic given the seed). Zero by default.
-    loss_rate: f64,
-    dropped_packets: u64,
-    /// Deterministic fault injector evaluated at the wire hop; `None`
+    /// Deterministic fault injector evaluated at every link crossing; `None`
     /// (the default) leaves the fabric untouched and every RNG stream
     /// bit-identical to a chaos-free run.
     injector: Option<FaultInjector>,
     /// Fabric-wide packet conservation ledger for the chaos oracles.
     fabric: FabricStats,
-    /// Multi-hop fabric state when a [`Topology`] is installed. `None`
-    /// (the default) keeps the legacy single-switch wire path — and its
-    /// digests — bit-identical.
-    fabric_rt: Option<FabricRuntime>,
+    /// The wire: link state and counters over the installed
+    /// [`Topology`] (the growing `p2p` crossbar unless
+    /// [`Simulation::with_topology`] picked another).
+    fabric_rt: FabricRuntime,
     /// Telemetry handles captured from the run context at construction;
     /// disabled handles cost one branch per use.
     tracer: Tracer,
@@ -446,34 +352,9 @@ impl World {
         &mut self.nics[host.0 as usize]
     }
 
-    /// Schedules a world event.
-    fn enqueue(&mut self, at: SimTime, event: WorldEvent) {
-        // Any enqueue other than a successful hop coalesce invalidates
-        // the tail: a later packet appended to an older Hop event would
-        // otherwise execute *before* this event despite having been
-        // scheduled after it.
-        self.hop_tail = None;
-        self.queue.schedule(at, event);
-    }
-
     /// Folds one processed event into the order digest; the digest is
     /// therefore a fingerprint of the execution order itself.
-    ///
-    /// A batched `Hop` folds once *per packet* — exactly the words an
-    /// unbatched run folds for its separate Hop events — so coalescing
-    /// is invisible to the digest by construction.
     fn fold_event(&mut self, at: SimTime, event: &WorldEvent) {
-        if let WorldEvent::Hop { hop, pkts, .. } = event {
-            for h in pkts.iter() {
-                let dst = u64::from(self.arena.hot(h).dst.0);
-                let d = &mut self.order;
-                d.fold(at.as_picos());
-                d.fold(3);
-                d.fold(u64::from(*hop));
-                d.fold(dst);
-            }
-            return;
-        }
         let d = &mut self.order;
         d.fold(at.as_picos());
         match event {
@@ -486,7 +367,11 @@ impl World {
                 d.fold(u64::from(host.0));
                 d.fold(u64::from(*corrupt));
             }
-            WorldEvent::Hop { .. } => unreachable!("folded above"),
+            WorldEvent::Hop { hop, pkt, .. } => {
+                d.fold(3);
+                d.fold(u64::from(*hop));
+                d.fold(u64::from(self.arena.hot(*pkt).dst.0));
+            }
             WorldEvent::Timer { app, token } => {
                 d.fold(4);
                 d.fold(app.0 as u64);
@@ -498,56 +383,6 @@ impl World {
                 d.fold(u64::from(host.0));
             }
         }
-    }
-
-    /// Schedules hop `hop` of `route` for one packet, coalescing into
-    /// the immediately preceding `Hop` event when — and only when — that
-    /// event is still pending, nothing else has been enqueued since, and
-    /// `(at, route, hop, corrupt)` all match. Under those conditions the
-    /// batch members occupy adjacent positions in the unbatched pop
-    /// order, so executing them back-to-back from one event is
-    /// bit-identical (same RNG draws, same digest words, same trace).
-    ///
-    /// In practice the fabric's link serialization spreads arrivals over
-    /// distinct picosecond instants, so the coalesce path fires rarely;
-    /// it exists for the bursts (duplicated packets, zero-latency test
-    /// fabrics) where per-packet queue cells would be pure overhead.
-    fn enqueue_hop(
-        &mut self,
-        at: SimTime,
-        route: Route,
-        hop: u8,
-        pkt: PacketHandle,
-        corrupt: bool,
-    ) {
-        if let Some(tail) = self.hop_tail {
-            if tail.at == at && tail.hop == hop && tail.corrupt == corrupt && tail.route == route {
-                if let Some(WorldEvent::Hop { pkts, .. }) = self.queue.event_mut(tail.handle) {
-                    if pkts.push(pkt) {
-                        // Counted into `coalesced_hops` when the batch
-                        // executes, not here, so the ledger only ever
-                        // reflects processed events.
-                        return;
-                    }
-                }
-            }
-        }
-        let event = WorldEvent::Hop {
-            route,
-            hop,
-            pkts: HopBatch::one(pkt),
-            corrupt,
-        };
-        self.hop_tail = self
-            .queue
-            .schedule_tracked(at, event)
-            .map(|handle| HopTail {
-                handle,
-                at,
-                route,
-                hop,
-                corrupt,
-            });
     }
 
     /// Routes a NIC event into the NIC and applies the resulting
@@ -567,9 +402,9 @@ impl World {
         for action in actions.drain(..) {
             match action {
                 NicAction::Schedule { at, event } => {
-                    self.enqueue(at, WorldEvent::Nic(host, event));
+                    self.queue.schedule(at, WorldEvent::Nic(host, event));
                 }
-                NicAction::Transmit { at, pkt } => self.transmit(host, at, pkt),
+                NicAction::Transmit { at, pkt } => self.transmit(at, pkt),
                 NicAction::Complete { at, cqe } => {
                     if self.metrics.enabled() {
                         self.metrics
@@ -597,7 +432,8 @@ impl World {
                     }
                     match self.qp_owner.get(&(host, cqe.qp)) {
                         Some(&app) => {
-                            self.enqueue(at, WorldEvent::AppCqe { app, host, cqe });
+                            self.queue
+                                .schedule(at, WorldEvent::AppCqe { app, host, cqe });
                         }
                         None => self.orphan_cqes.push((host, cqe)),
                     }
@@ -606,88 +442,48 @@ impl World {
         }
     }
 
-    /// Puts one packet on the wire at `at`: loss/chaos verdicts, then
-    /// either the first fabric hop or the legacy single-switch delivery.
-    fn transmit(&mut self, host: HostId, at: SimTime, pkt: PacketHandle) {
+    /// Puts one packet on the wire at `at`: routes it, then sends it on
+    /// to its first hop. The flow key is built only for a pair with more
+    /// than one equal-cost route, so a crossbar packet never reads its
+    /// cold fields.
+    fn transmit(&mut self, at: SimTime, pkt: PacketHandle) {
         self.fabric.sent += 1;
-        let (src, dst, msg_id) = {
+        let (src, dst) = {
             let hot = self.arena.hot(pkt);
-            (hot.src, hot.dst, hot.msg_id)
+            (hot.src, hot.dst)
         };
-        if self.fabric_rt.is_some() {
-            // Fabric mode: ECMP-route the flow and walk the
-            // links hop by hop. Loss/chaos verdicts happen
-            // per hop, where the packet physically is.
-            if self.loss_rate > 0.0 && self.rng.chance(self.loss_rate) {
-                let rt = self.fabric_rt.as_ref().expect("fabric mode");
-                let up = rt.topology().host_uplink(src);
-                self.note_link_drop(up, src, dst);
-                self.arena.free(pkt);
-                return;
+        let arena = &self.arena;
+        let route = self.fabric_rt.topology().route_by(src, dst, || {
+            let p = arena.get(pkt);
+            FlowKey::new(src, dst, p.src_qp.0, p.dst_qp.0)
+        });
+        self.forward(at, route, 0, pkt, false);
+    }
+
+    /// Sends a packet on to hop `hop` of its route at `at`: delivery past
+    /// the last hop, an inline [`World::cross`] for an ideal link (it has
+    /// no state to wait on, so the crossing can be decided now), else a
+    /// `Hop` event for when the packet reaches the link.
+    fn forward(&mut self, at: SimTime, route: Route, hop: u8, pkt: PacketHandle, corrupt: bool) {
+        match route.hop(usize::from(hop)) {
+            None => {
+                let host = self.arena.hot(pkt).dst;
+                self.queue
+                    .schedule(at, WorldEvent::Deliver { host, pkt, corrupt });
             }
-            let (src_qp, dst_qp) = {
-                let p = self.arena.get(pkt);
-                (p.src_qp, p.dst_qp)
-            };
-            let rt = self.fabric_rt.as_ref().expect("fabric mode");
-            let key = FlowKey::new(src, dst, src_qp.0, dst_qp.0);
-            let route = rt.topology().route(src, dst, key);
-            self.enqueue_hop(at, route, 0, pkt, false);
-            return;
-        }
-        // Legacy uniform loss draws from the world RNG first so
-        // that chaos-free runs keep their exact RNG stream.
-        if self.loss_rate > 0.0 && self.rng.chance(self.loss_rate) {
-            self.note_wire_drop(host, dst);
-            self.arena.free(pkt);
-            return;
-        }
-        let prop = self.nic_ref(host).profile().wire_propagation + self.switch_latency;
-        let mut corrupt = false;
-        let mut deliver_at = at + prop;
-        if let Some(inj) = self.injector.as_mut() {
-            let _p = profile::enter(Phase::Chaos);
-            let v = inj.verdict(at, host, dst);
-            if v.drop {
-                self.note_wire_drop(host, dst);
-                self.arena.free(pkt);
-                return;
+            Some(link) if self.fabric_rt.topology().link(link).is_ideal() => {
+                self.cross(at, route, hop, pkt, corrupt);
             }
-            corrupt = v.corrupt;
-            deliver_at += v.extra_delay;
-            if v.duplicate {
-                // The only copy a fault-free run never pays: duplication
-                // clones the slot (payload bytes stay shared).
-                self.fabric.duplicates += 1;
-                let dup = self.arena.clone_entry(pkt);
-                self.enqueue(
-                    deliver_at + self.switch_latency,
-                    WorldEvent::Deliver {
-                        host: dst,
-                        pkt: dup,
-                        corrupt,
-                    },
-                );
+            Some(_) => {
+                let event = WorldEvent::Hop {
+                    route,
+                    hop,
+                    pkt,
+                    corrupt,
+                };
+                self.queue.schedule(at, event);
             }
         }
-        if self.tracer.enabled(Target::RdmaVerbs) {
-            self.tracer.span(
-                Target::RdmaVerbs,
-                "wire_hop",
-                ActorId::device(host.0),
-                at.as_picos(),
-                (deliver_at - at).as_picos(),
-                &[("dst", u64::from(dst.0).into()), ("msg_id", msg_id.into())],
-            );
-        }
-        self.enqueue(
-            deliver_at,
-            WorldEvent::Deliver {
-                host: dst,
-                pkt,
-                corrupt,
-            },
-        );
     }
 
     /// Resets an Error-state QP back to Ready and marks the transition
@@ -719,28 +515,15 @@ impl World {
             == Some(QpTransport::Error)
     }
 
-    /// Records a wire drop with per-direction NIC attribution (legacy
-    /// single-switch path, where the endpoint pair *is* the link).
-    fn note_wire_drop(&mut self, src: HostId, dst: HostId) {
-        self.dropped_packets += 1;
-        self.fabric.dropped += 1;
-        self.nic_mut(src).counters_mut().wire_tx_dropped += 1;
-        if let Some(nic) = self.nics.get_mut(dst.0 as usize) {
-            nic.counters_mut().wire_rx_dropped += 1;
-        }
-    }
-
     /// Records a drop at the physical link it happened on. The link's
     /// ledger always advances; the per-NIC wire counters only when the
     /// link actually touches that NIC — a drop three hops into the
     /// fabric is neither the sender's egress loss nor the receiver's
     /// ingress loss, so endpoint counters must not claim it.
     fn note_link_drop(&mut self, link: LinkId, src: HostId, dst: HostId) {
-        self.dropped_packets += 1;
         self.fabric.dropped += 1;
-        let rt = self.fabric_rt.as_mut().expect("fabric mode");
-        rt.note_link_drop(link);
-        let l = *rt.topology().link(link);
+        self.fabric_rt.note_link_drop(link);
+        let l = *self.fabric_rt.topology().link(link);
         if l.src == NodeId::Host(src.0) {
             self.nic_mut(src).counters_mut().wire_tx_dropped += 1;
         }
@@ -751,11 +534,11 @@ impl World {
         }
     }
 
-    /// Carries a packet across hop `hop` of its route: per-hop chaos
-    /// verdict, serialization behind the link's queue and pause gate,
-    /// then either the next hop or final delivery.
-    fn hop_packet(&mut self, route: Route, hop: u8, pkt: PacketHandle, corrupt: bool) {
-        let now = self.now();
+    /// Carries a packet across hop `hop` of its route, starting at `now`:
+    /// the chaos verdict, serialization behind the link's queue and
+    /// pause gate (an ideal link has neither), then [`World::forward`]
+    /// to the next hop or delivery.
+    fn cross(&mut self, now: SimTime, route: Route, hop: u8, pkt: PacketHandle, corrupt: bool) {
         let link = route.hop(hop as usize).expect("hop within route");
         let (src, dst, tc, wire_bytes, msg_id) = {
             let hot = self.arena.hot(pkt);
@@ -766,10 +549,9 @@ impl World {
         let mut duplicate = false;
         if let Some(inj) = self.injector.as_mut() {
             let _p = profile::enter(Phase::Chaos);
-            // The same endpoint-pair plan selectors as the legacy wire
-            // apply, evaluated once per traversed link, so loss
-            // compounds along the path the way real fabrics lose
-            // packets.
+            // The endpoint-pair plan selectors apply, evaluated once per
+            // traversed link, so loss compounds along the path the way
+            // real fabrics lose packets.
             let v = inj.verdict(now, src, dst);
             if v.drop {
                 self.note_link_drop(link, src, dst);
@@ -783,7 +565,7 @@ impl World {
             duplicate = v.duplicate && hop == 0;
         }
         let bytes = u64::from(wire_bytes);
-        let rt = self.fabric_rt.as_mut().expect("fabric mode");
+        let rt = &mut self.fabric_rt;
         let out = rt.traverse(start, &route, hop as usize, bytes, tc);
         // Capture the pause window while the runtime borrow is live:
         // the span below needs to know when the port resumes.
@@ -842,26 +624,21 @@ impl World {
         if duplicate {
             // Copy-on-duplication: the slot is cloned (payload bytes
             // stay shared behind the refcount) only when chaos actually
-            // forks the packet.
+            // forks the packet. The copy crosses the link again: a queued
+            // link serializes it behind the original, and an ideal one,
+            // which has no queue, holds it one switch latency.
             self.fabric.duplicates += 1;
-            let rt = self.fabric_rt.as_mut().expect("fabric mode");
-            let dup_out = rt.traverse(start, &route, hop as usize, bytes, tc);
+            let mut dup_at = self
+                .fabric_rt
+                .traverse(start, &route, hop as usize, bytes, tc)
+                .arrival;
+            if self.fabric_rt.topology().link(link).is_ideal() {
+                dup_at += SWITCH_FORWARD;
+            }
             let dup = self.arena.clone_entry(pkt);
-            self.enqueue_hop(dup_out.arrival, route, hop + 1, dup, corrupt);
+            self.forward(dup_at, route, hop + 1, dup, corrupt);
         }
-        let next = hop + 1;
-        if usize::from(next) == route.len() {
-            self.enqueue(
-                out.arrival,
-                WorldEvent::Deliver {
-                    host: dst,
-                    pkt,
-                    corrupt,
-                },
-            );
-        } else {
-            self.enqueue_hop(out.arrival, route, next, pkt, corrupt);
-        }
+        self.forward(out.arrival, route, hop + 1, pkt, corrupt);
     }
 
     fn post_send(&mut self, qp: QpHandle, wr: WorkRequest) -> Result<(), PostError> {
@@ -933,13 +710,14 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Creates an empty fabric with a deterministic seed and the default
-    /// (calendar) queue backend.
+    /// Creates an empty `p2p` crossbar, which [`Simulation::add_host`]
+    /// grows, with a deterministic seed and the default (calendar) queue
+    /// backend.
     pub fn new(seed: u64) -> Self {
         Self::with_backend(seed, QueueBackend::default())
     }
 
-    /// Creates an empty fabric with an explicit queue backend — used by
+    /// [`Simulation::new`] with an explicit queue backend — used by
     /// differential validation runs and the event-core benchmarks.
     /// Results are identical across backends for a given seed.
     pub fn with_backend(seed: u64, backend: QueueBackend) -> Self {
@@ -948,12 +726,9 @@ impl Simulation {
             world: World {
                 queue: WorldQueue::new(backend),
                 arena: PacketArena::new(),
-                hop_tail: None,
-                coalesced_hops: 0,
                 scratch: Vec::new(),
                 nics: Vec::new(),
                 qp_owner: FxHashMap::default(),
-                switch_latency: SimDuration::from_nanos(200),
                 next_qp: 1,
                 next_mr: 1,
                 next_pd: 1,
@@ -961,11 +736,9 @@ impl Simulation {
                 orphan_cqes: Vec::new(),
                 stopped: false,
                 rng: SimRng::derive(seed, "world"),
-                loss_rate: 0.0,
-                dropped_packets: 0,
                 injector: None,
                 fabric: FabricStats::default(),
-                fabric_rt: None,
+                fabric_rt: FabricRuntime::new(Topology::crossbar(0), None),
                 tracer: ctx.tracer,
                 metrics: ctx.metrics,
                 order: Digest64::new(),
@@ -976,47 +749,53 @@ impl Simulation {
         }
     }
 
-    /// Creates a fabric routed over a multi-hop [`Topology`] instead of
-    /// the hardcoded single switch: packets take ECMP-selected per-flow
-    /// paths, serialize behind per-link queues, and (when `pfc` is set)
+    /// Creates a fabric routed over `topo` instead of the `p2p` crossbar:
+    /// on a multi-hop fabric packets take ECMP-selected per-flow paths,
+    /// serialize behind per-link queues, and (when `pfc` is set)
     /// generate PFC back-pressure at congested switch egresses.
     ///
     /// Host *n* added via [`Simulation::add_host`] occupies slot *n* of
-    /// the topology; add no more hosts than the topology declares.
+    /// the topology; add no more hosts than the topology declares (only
+    /// a `p2p` crossbar grows past its spec).
     pub fn with_topology(seed: u64, topo: Topology, pfc: Option<PfcPortConfig>) -> Self {
         let mut sim = Self::new(seed);
-        sim.world.fabric_rt = Some(FabricRuntime::new(topo, pfc));
+        sim.world.fabric_rt = FabricRuntime::new(topo, pfc);
         sim
     }
 
-    /// The installed topology, if this is a multi-hop fabric.
+    /// The installed topology. Always `Some`: a simulation built without
+    /// one runs on the `p2p` crossbar.
     pub fn topology(&self) -> Option<&Topology> {
-        self.world.fabric_rt.as_ref().map(|rt| rt.topology())
+        Some(self.world.fabric_rt.topology())
     }
 
-    /// Per-link ingress counters (`None` without a topology).
+    /// Per-link ingress counters. Always `Some`, as for
+    /// [`Simulation::topology`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is not a link of the topology.
     pub fn link_counters(&self, link: LinkId) -> Option<&PortCounters> {
-        self.world.fabric_rt.as_ref().map(|rt| rt.counters(link))
+        Some(self.world.fabric_rt.counters(link))
     }
 
     /// Silences one fabric link's transmitter for a traffic class — the
-    /// per-port enforcement half of a PFC defense. No-op without a
-    /// topology.
+    /// per-port enforcement half of a PFC defense. No-op on an ideal
+    /// link (the `p2p` crossbar's), which has no pause gate.
     pub fn pause_link(&mut self, link: LinkId, tc: TrafficClass, duration: SimDuration) {
         let until = self.world.now() + duration;
-        if let Some(rt) = self.world.fabric_rt.as_mut() {
-            rt.pause_link(link, tc, until);
-        }
+        self.world.fabric_rt.pause_link(link, tc, until);
     }
 
     /// Adds a host with the given RNIC profile; hosts are numbered from 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a fixed (non-`p2p`) topology has no port left.
     pub fn add_host(&mut self, profile: DeviceProfile) -> HostId {
-        if let Some(rt) = &self.world.fabric_rt {
-            assert!(
-                self.world.nics.len() < rt.topology().num_hosts() as usize,
-                "topology {} has no port for another host",
-                rt.topology().spec().canonical()
-            );
+        let rt = &mut self.world.fabric_rt;
+        if self.world.nics.len() == rt.topology().num_hosts() as usize {
+            rt.add_crossbar_host();
         }
         let id = HostId(self.world.nics.len() as u32);
         // Derive per-NIC seeds from the world RNG stream deterministically.
@@ -1174,24 +953,6 @@ impl Simulation {
         self.world.nic_mut(host).memory_mut()
     }
 
-    /// Sets the fabric's packet-loss probability (0 disables; default).
-    /// Lost messages are recovered by the NICs' retransmission timers;
-    /// `1.0` (total loss) exercises retry exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1]`.
-    pub fn set_loss_rate(&mut self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate), "loss rate out of range");
-        self.world.loss_rate = rate;
-    }
-
-    /// Packets dropped by the fabric so far (uniform loss plus injected
-    /// faults; ICRC discards are counted separately).
-    pub fn dropped_packets(&self) -> u64 {
-        self.world.dropped_packets
-    }
-
     /// Installs a deterministic fault plan, replacing any previous one.
     /// The injector draws from its own RNG stream, so installing (or
     /// not installing) a plan never perturbs workload randomness.
@@ -1297,14 +1058,9 @@ impl Simulation {
             let Some((at, event)) = self.world.queue.pop_before(deadline) else {
                 break;
             };
-            // A batched Hop counts once per packet it carries, so the
-            // processed total is identical with and without coalescing.
-            processed += match &event {
-                WorldEvent::Hop { pkts, .. } => u64::from(pkts.len()),
-                _ => 1,
-            };
+            processed += 1;
             self.world.fold_event(at, &event);
-            self.execute_event(event);
+            self.execute_event(at, event);
             if self.world.monitors.is_some() {
                 self.observe_monitors(at);
             }
@@ -1356,8 +1112,8 @@ impl Simulation {
         self.world.nic_mut(host).debug_skew_qp_outstanding(qp);
     }
 
-    /// Dispatches one popped event.
-    fn execute_event(&mut self, event: WorldEvent) {
+    /// Dispatches one event popped at `at`.
+    fn execute_event(&mut self, at: SimTime, event: WorldEvent) {
         let _p = profile::enter(Phase::Execute);
         match event {
             WorldEvent::Nic(host, ev) => {
@@ -1380,18 +1136,9 @@ impl Simulation {
             WorldEvent::Hop {
                 route,
                 hop,
-                pkts,
+                pkt,
                 corrupt,
-            } => {
-                // Batch members execute back-to-back in enqueue order —
-                // the exact order an unbatched run pops them in. The
-                // extra members are folded into the processed-events
-                // ledger so totals stay batching-invariant.
-                self.world.coalesced_hops += u64::from(pkts.len()) - 1;
-                for h in pkts.iter() {
-                    self.world.hop_packet(route, hop, h, corrupt);
-                }
-            }
+            } => self.world.cross(at, route, hop, pkt, corrupt),
             WorldEvent::Timer { app, token } => {
                 self.with_app(app, |a, ctx| a.on_timer(ctx, token));
             }
@@ -1406,18 +1153,9 @@ impl Simulation {
         self.run_until(SimTime::MAX)
     }
 
-    /// Total events processed so far — queue pops plus the extra members
-    /// of batched `Hop` events.
+    /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.world.queue.events_processed() + self.world.coalesced_hops
-    }
-
-    /// Packets that executed as extra members of a batched `Hop` event
-    /// instead of costing their own queue cell (zero unless a burst
-    /// landed on one `(link, tick)`). Already included in
-    /// [`Simulation::events_processed`].
-    pub fn coalesced_hops(&self) -> u64 {
-        self.world.coalesced_hops
+        self.world.queue.events_processed()
     }
 
     /// Allocation ledger of the packet arena: slots allocated and freed,
@@ -1449,6 +1187,10 @@ impl Simulation {
     }
 
     pub fn set_app_scope(&mut self, _app: AppId, _hosts: &[HostId]) {}
+
+    pub fn coalesced_hops(&self) -> u64 {
+        0
+    }
 }
 
 impl Drop for Simulation {
@@ -1462,16 +1204,9 @@ impl Drop for Simulation {
             return;
         }
         m.counter_add("sim.events_processed", self.events_processed());
-        m.counter_add("wire.dropped_packets", self.world.dropped_packets);
-        if let Some(rt) = &self.world.fabric_rt {
-            let (mut drops, mut pauses) = (0, 0);
-            for c in rt.all_counters() {
-                drops += c.dropped;
-                pauses += c.pauses_taken;
-            }
-            m.counter_add("fabric.link_dropped", drops);
-            m.counter_add("fabric.pfc_pauses", pauses);
-        }
+        m.counter_add("wire.dropped_packets", self.world.fabric.dropped);
+        let pauses = self.world.fabric_rt.all_counters().iter();
+        m.counter_add("fabric.pfc_pauses", pauses.map(|c| c.pauses_taken).sum());
         // One interned `nic.*` key per counter name for the whole
         // fabric, instead of a fresh format! per (host, counter) pair.
         let mut nic_keys = ragnar_telemetry::PrefixedInterner::new("nic.");
@@ -1536,7 +1271,9 @@ impl Ctx<'_> {
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let at = self.world.now() + delay;
         let app = self.app;
-        self.world.enqueue(at, WorldEvent::Timer { app, token });
+        self.world
+            .queue
+            .schedule(at, WorldEvent::Timer { app, token });
     }
 
     /// Stops the event loop after the current callback returns.
@@ -1576,25 +1313,26 @@ impl Ctx<'_> {
         self.world.nic_mut(host).pause_tc(tc, until);
     }
 
-    /// The installed topology, if this is a multi-hop fabric.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.world.fabric_rt.as_ref().map(|rt| rt.topology())
+    /// The installed topology.
+    pub fn topology(&self) -> &Topology {
+        self.world.fabric_rt.topology()
     }
 
-    /// Per-link ingress counters (`None` without a topology) — what a
-    /// per-port watchdog app samples.
-    pub fn link_counters(&self, link: LinkId) -> Option<&PortCounters> {
-        self.world.fabric_rt.as_ref().map(|rt| rt.counters(link))
+    /// Per-link ingress counters — what a per-port watchdog app samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is not a link of the topology.
+    pub fn link_counters(&self, link: LinkId) -> &PortCounters {
+        self.world.fabric_rt.counters(link)
     }
 
     /// Silences one fabric link's transmitter for a traffic class — the
-    /// per-port enforcement half of a PFC defense app. No-op without a
-    /// topology.
+    /// per-port enforcement half of a PFC defense app. No-op on an ideal
+    /// link.
     pub fn pause_link(&mut self, link: LinkId, tc: TrafficClass, duration: SimDuration) {
         let until = self.now() + duration;
-        if let Some(rt) = self.world.fabric_rt.as_mut() {
-            rt.pause_link(link, tc, until);
-        }
+        self.world.fabric_rt.pause_link(link, tc, until);
     }
 }
 
@@ -2072,41 +1810,127 @@ mod tests {
         assert_ne!(run(3), run(4), "per-NIC jitter must still vary by seed");
     }
 
+    /// A plan with one fault on every link for `[0, until)`.
+    fn plan_of(kind: ragnar_chaos::FaultKind, until: SimTime) -> FaultPlan {
+        let mut plan = FaultPlan::empty(9);
+        plan.events.push(ragnar_chaos::FaultEvent {
+            link: ragnar_chaos::LinkSelector::Any,
+            from: SimTime::ZERO,
+            until,
+            kind,
+        });
+        plan
+    }
+
+    fn total_loss() -> FaultPlan {
+        plan_of(
+            ragnar_chaos::FaultKind::LossBurst { rate: 1.0 },
+            SimTime::MAX,
+        )
+    }
+
     #[test]
     fn fabric_loss_attributes_to_the_dropping_link() {
         let (mut sim, qa, mr_b) = fabric_pair(5, None);
-        sim.set_loss_rate(1.0);
+        sim.install_fault_plan(&total_loss());
         sim.post_send(
             qa,
             WorkRequest::read(1, 0x100000, mr_b.addr(0), mr_b.key, 64),
         )
         .expect("post");
         sim.run_until(SimTime::from_micros(200));
-        assert!(sim.dropped_packets() > 0);
-        // Total loss fires at transmit: every drop happens on the
+        let dropped = sim.fabric_stats().dropped;
+        assert!(dropped > 0);
+        // Total loss fires at the first hop: every drop happens on the
         // sender's uplink and is attributed there — and to the sender's
         // NIC, but never to the receiver, which the packets never reached.
         let uplink = sim.topology().expect("topo").host_uplink(qa.host);
         assert_eq!(
             sim.link_counters(uplink).expect("counters").dropped,
-            sim.dropped_packets()
+            dropped
         );
-        assert_eq!(sim.counters(qa.host).wire_tx_dropped, sim.dropped_packets());
+        assert_eq!(sim.counters(qa.host).wire_tx_dropped, dropped);
         assert_eq!(sim.counters(mr_b.host).wire_rx_dropped, 0);
     }
 
     #[test]
+    fn crossbar_drops_count_on_both_endpoints_and_the_link() {
+        let (mut sim, qa, _qb, _mr_a, mr_b) = two_hosts(DeviceProfile::connectx5);
+        sim.install_fault_plan(&plan_of(
+            ragnar_chaos::FaultKind::LossBurst { rate: 1.0 },
+            SimTime::from_micros(150),
+        ));
+        sim.post_send(
+            qa,
+            WorkRequest::read(1, 0x100000, mr_b.addr(0), mr_b.key, 64),
+        )
+        .expect("post");
+        sim.run_until(SimTime::from_millis(5));
+        let done = sim.take_completions();
+        assert_eq!(done.len(), 1);
+        assert!(done[0].1.status.is_ok(), "retransmission recovered");
+        let dropped = sim.fabric_stats().dropped;
+        assert!(dropped > 0, "the outage dropped nothing");
+        let topo = sim.topology().expect("crossbar");
+        let route = topo.route(qa.host, mr_b.host, FlowKey::new(qa.host, mr_b.host, 0, 0));
+        assert_eq!(route.len(), 1);
+        let link = route.links()[0];
+        assert_eq!(topo.link(link).src, NodeId::Host(qa.host.0));
+        // Only the requester sent during the outage: each drop is on its
+        // one link to the responder, and charged to both of its ends.
+        assert_eq!(sim.link_counters(link).expect("counters").dropped, dropped);
+        assert_eq!(sim.counters(qa.host).wire_tx_dropped, dropped);
+        assert_eq!(sim.counters(mr_b.host).wire_rx_dropped, dropped);
+        assert!(sim.fabric_stats().conserved());
+    }
+
+    /// Runs the event loop dry, returning the time and host of every
+    /// `Deliver` it executes.
+    fn deliveries(sim: &mut Simulation) -> Vec<(SimTime, HostId)> {
+        let mut out = Vec::new();
+        while let Some((at, event)) = sim.world.queue.pop_before(SimTime::MAX) {
+            if let WorldEvent::Deliver { host, .. } = event {
+                out.push((at, host));
+            }
+            sim.world.fold_event(at, &event);
+            sim.execute_event(at, event);
+        }
+        out
+    }
+
+    #[test]
+    fn crossbar_duplicate_trails_the_original_by_200_ns() {
+        let (mut sim, qa, _qb, mr_a, mr_b) = two_hosts(DeviceProfile::connectx5);
+        sim.install_fault_plan(&plan_of(
+            ragnar_chaos::FaultKind::Duplicate { prob: 1.0 },
+            SimTime::MAX,
+        ));
+        sim.post_send(
+            qa,
+            WorkRequest::write(1, mr_a.addr(0), mr_b.addr(0), mr_b.key, 64),
+        )
+        .expect("post");
+        let at_responder: Vec<SimTime> = deliveries(&mut sim)
+            .into_iter()
+            .filter(|&(_, host)| host == mr_b.host)
+            .map(|(at, _)| at)
+            .collect();
+        // The one request packet arrives twice, 200 ns apart.
+        assert_eq!(at_responder.len(), 2, "{at_responder:?}");
+        assert_eq!(at_responder[1] - at_responder[0], SWITCH_FORWARD);
+        let stats = sim.fabric_stats();
+        assert!(stats.duplicates > 0);
+        assert!(stats.conserved(), "{stats:?}");
+        assert_eq!(sim.take_completions().len(), 1);
+    }
+
+    #[test]
     fn fabric_mid_path_chaos_drops_skip_endpoint_counters() {
-        use ragnar_chaos::{FaultEvent, FaultKind, LinkSelector};
         let (mut sim, qa, mr_b) = fabric_pair(5, None);
-        let mut plan = FaultPlan::empty(9);
-        plan.events.push(FaultEvent {
-            link: LinkSelector::Any,
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(1),
-            kind: FaultKind::LossBurst { rate: 0.4 },
-        });
-        sim.install_fault_plan(&plan);
+        sim.install_fault_plan(&plan_of(
+            ragnar_chaos::FaultKind::LossBurst { rate: 0.4 },
+            SimTime::from_secs(1),
+        ));
         for i in 0..50 {
             sim.post_send(
                 qa,
@@ -2125,7 +1949,7 @@ mod tests {
             .sum();
         assert_eq!(
             ledger,
-            sim.dropped_packets(),
+            sim.fabric_stats().dropped,
             "every drop must land on exactly one physical link"
         );
         // Per-hop verdicts mean some drops occur mid-fabric; those are
@@ -2169,7 +1993,7 @@ mod tests {
             })
             .sum();
         assert!(pauses > 0, "saturated fabric should emit XOFF");
-        assert_eq!(sim.dropped_packets(), 0);
+        assert_eq!(sim.fabric_stats().dropped, 0);
     }
 
     #[test]

@@ -2,10 +2,24 @@
 //! retransmission machinery.
 
 use rdma_verbs::{
-    AccessFlags, ConnectOptions, CqeStatus, DeviceProfile, NakReason, RecvWqe, Simulation,
-    VerbsError, WorkRequest,
+    AccessFlags, ConnectOptions, CqeStatus, DeviceProfile, FaultEvent, FaultKind, FaultPlan,
+    LinkSelector, NakReason, RecvWqe, Simulation, VerbsError, WorkRequest,
 };
 use sim_core::SimTime;
+
+/// Drops each packet on every link with probability `rate`, for all
+/// time, drawing from the plan's own `seed`-derived stream.
+fn loss_plan(seed: u64, rate: f64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        events: vec![FaultEvent {
+            link: LinkSelector::Any,
+            from: SimTime::ZERO,
+            until: SimTime::MAX,
+            kind: FaultKind::LossBurst { rate },
+        }],
+    }
+}
 
 fn lossy_pair(seed: u64, loss: f64) -> (Simulation, rdma_verbs::QpHandle, rdma_verbs::MrHandle) {
     let mut sim = Simulation::new(seed);
@@ -24,7 +38,7 @@ fn lossy_pair(seed: u64, loss: f64) -> (Simulation, rdma_verbs::QpHandle, rdma_v
             ..ConnectOptions::default()
         },
     );
-    sim.set_loss_rate(loss);
+    sim.install_fault_plan(&loss_plan(seed, loss));
     (sim, qp, mr)
 }
 
@@ -45,7 +59,7 @@ fn reads_survive_heavy_loss() {
     assert_eq!(done.len() as u64, n, "every read eventually completes");
     assert!(done.iter().all(|(_, c)| c.status == CqeStatus::Success));
     // Loss actually happened, and recovery actually ran.
-    assert!(sim.dropped_packets() > 0, "fabric dropped packets");
+    assert!(sim.fabric_stats().dropped > 0, "fabric dropped packets");
     assert!(
         sim.nic(qp.host).counters().retransmits > 0,
         "requester retransmitted"
@@ -129,7 +143,7 @@ fn total_loss_exhausts_retries() {
         .expect_err("error-state QP rejects posts");
     assert_eq!(err, VerbsError::QpInError);
     // Recover and verify the QP works again on a healthy fabric.
-    sim.set_loss_rate(0.0);
+    sim.install_fault_plan(&FaultPlan::empty(0));
     sim.recover_qp(qp).expect("recover after drain");
     assert!(!sim.qp_in_error(qp));
     sim.post_send(qp, WorkRequest::read(2, 0x1000, mr.addr(0), mr.key, 64))
@@ -174,7 +188,7 @@ fn out_of_bounds_nak_under_loss_keeps_qp_usable() {
     }
     // Access violations are not transport failures: the QP stays Ready.
     assert!(!sim.qp_in_error(qp));
-    assert!(sim.dropped_packets() > 0, "loss ran concurrently");
+    assert!(sim.fabric_stats().dropped > 0, "loss ran concurrently");
 }
 
 #[test]
@@ -190,7 +204,7 @@ fn send_without_recv_exhausts_rnr_budget_then_recovers() {
     let pd_b = sim.alloc_pd(b);
     let _mr = sim.register_mr(b, pd_b, 1 << 21, AccessFlags::remote_all());
     let (qp, peer) = sim.connect(a, pd_a, b, pd_b, ConnectOptions::default());
-    sim.set_loss_rate(0.1);
+    sim.install_fault_plan(&loss_plan(47, 0.1));
     sim.write_memory(a, 0x1000, b"nobody listening");
     sim.post_send(qp, WorkRequest::send(1, 0x1000, 16))
         .expect("post");
@@ -208,7 +222,7 @@ fn send_without_recv_exhausts_rnr_budget_then_recovers() {
     );
 
     // Recover, post the missing receive, and the same Send goes through.
-    sim.set_loss_rate(0.0);
+    sim.install_fault_plan(&FaultPlan::empty(0));
     sim.recover_qp(qp).expect("recover after drain");
     sim.post_recv(
         peer,
@@ -279,6 +293,6 @@ fn lossless_fabric_never_retransmits() {
     }
     sim.run_until(SimTime::from_secs(1));
     assert_eq!(sim.take_completions().len(), 50);
-    assert_eq!(sim.dropped_packets(), 0);
+    assert_eq!(sim.fabric_stats().dropped, 0);
     assert_eq!(sim.nic(qp.host).counters().retransmits, 0);
 }

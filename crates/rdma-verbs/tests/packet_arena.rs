@@ -2,7 +2,7 @@
 //! payload on the hot path. A packet is allocated exactly once at
 //! creation, passes every wire hop and chaos injection point by
 //! [`PacketHandle`], and is freed exactly once at its terminal event
-//! (delivery, wire loss, injector drop, or ICRC discard). The only
+//! (delivery, injector drop, or ICRC discard). The only
 //! header-row copy a run is allowed to make is for a chaos duplication
 //! fault — and even that shares the payload bytes by refcount.
 //!
@@ -134,11 +134,10 @@ fn lossy_run_frees_dropped_packets() {
     assert_eq!(stats.live(), 0, "dropped packets leaked");
 }
 
-/// The legacy (topology-free) wire obeys the same ledger on both queue
-/// backends — the Reference backend never batches hops, so this also
-/// pins that batching is an optimization of the calendar path only.
+/// The default `p2p` crossbar wire obeys the same ledger on both queue
+/// backends.
 #[test]
-fn legacy_wire_is_copy_free_on_both_backends() {
+fn crossbar_wire_is_copy_free_on_both_backends() {
     for backend in [QueueBackend::Calendar, QueueBackend::Reference] {
         let mut sim = Simulation::with_backend(19, backend);
         let requester = sim.add_host(DeviceProfile::connectx5());

@@ -63,8 +63,6 @@ pub struct DeviceProfile {
     /// arbitration noise. This decoheres the deterministic phase-locking
     /// that closed-loop flows would otherwise settle into.
     pub pcie_jitter_sigma: SimDuration,
-    /// Link propagation delay to the switch.
-    pub wire_propagation: SimDuration,
     /// Per-WQE processing time of the transmit processing unit.
     pub tx_pu_service: SimDuration,
     /// Per-packet processing time of the receive processing unit.
@@ -142,7 +140,6 @@ impl DeviceProfile {
             pcie_rate_bps: 62_000_000_000,
             pcie_latency: SimDuration::from_nanos(300),
             pcie_jitter_sigma: SimDuration::from_nanos(40),
-            wire_propagation: SimDuration::from_nanos(500),
             tx_pu_service: SimDuration::from_nanos(95), // ~10.5 Mpps WQE issue
             rx_pu_service: SimDuration::from_nanos(40), // ~25 Mpps
             tpu_base: SimDuration::from_nanos(110),
@@ -183,7 +180,6 @@ impl DeviceProfile {
             pcie_rate_bps: 62_000_000_000,
             pcie_latency: SimDuration::from_nanos(250),
             pcie_jitter_sigma: SimDuration::from_nanos(30),
-            wire_propagation: SimDuration::from_nanos(500),
             tx_pu_service: SimDuration::from_nanos(40), // ~25 Mpps WQE issue
             rx_pu_service: SimDuration::from_nanos(25), // ~40 Mpps
             tpu_base: SimDuration::from_nanos(60),
@@ -224,7 +220,6 @@ impl DeviceProfile {
             pcie_rate_bps: 252_000_000_000,
             pcie_latency: SimDuration::from_nanos(200),
             pcie_jitter_sigma: SimDuration::from_nanos(25),
-            wire_propagation: SimDuration::from_nanos(500),
             tx_pu_service: SimDuration::from_nanos(22), // ~45 Mpps WQE issue
             rx_pu_service: SimDuration::from_nanos(12), // ~80 Mpps
             tpu_base: SimDuration::from_nanos(45),
@@ -339,7 +334,6 @@ mod tests {
         let scaled = base.time_scaled(0.01);
         assert_eq!(scaled.port_rate_bps, base.port_rate_bps / 100);
         assert_eq!(scaled.pcie_latency, base.pcie_latency);
-        assert_eq!(scaled.wire_propagation, base.wire_propagation);
         assert_eq!(
             scaled.tx_pu_service.as_picos(),
             base.tx_pu_service.as_picos() * 100

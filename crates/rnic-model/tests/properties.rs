@@ -156,7 +156,6 @@ proptest! {
         let base = DeviceProfile::connectx6();
         let scaled = base.time_scaled(factor);
         prop_assert_eq!(scaled.pcie_latency, base.pcie_latency);
-        prop_assert_eq!(scaled.wire_propagation, base.wire_propagation);
         prop_assert_eq!(scaled.tpu_row_bytes, base.tpu_row_bytes);
         prop_assert_eq!(scaled.tpu_banks, base.tpu_banks);
         let expect = (base.port_rate_bps as f64 * factor).round() as u64;

@@ -333,22 +333,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// In-place access to a pending event, or `None` if the handle's
-    /// event already fired or was cancelled.
-    ///
-    /// The event's fire time and position are fixed at [`schedule`]
-    /// time; this only lets the caller amend the payload (e.g. append a
-    /// packet to an already-scheduled batch event) without a
-    /// cancel/reschedule round trip, which would change the seq order.
-    ///
-    /// [`schedule`]: CalendarQueue::schedule
-    pub fn event_mut(&mut self, handle: EventHandle) -> Option<&mut E> {
-        match self.slab.get_mut(handle.slot as usize) {
-            Some(cell) if cell.seq == handle.seq => cell.event.as_mut(),
-            _ => None,
-        }
-    }
-
     /// Timestamp of the earliest pending event, reclaiming cancelled
     /// cells encountered at the head.
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -655,24 +639,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((t, i)));
         }
-    }
-
-    #[test]
-    fn event_mut_amends_pending_payload_in_place() {
-        let mut q = CalendarQueue::new();
-        let t = SimTime::from_nanos(5);
-        let h = q.schedule(t, vec![1u32]);
-        q.schedule(t, vec![9u32]);
-        q.event_mut(h).expect("pending").push(2);
-        // Position and seq order are untouched: the amended event still
-        // pops first.
-        assert_eq!(q.pop(), Some((t, vec![1, 2])));
-        assert_eq!(q.pop(), Some((t, vec![9])));
-        // Fired and cancelled events are inaccessible.
-        assert!(q.event_mut(h).is_none());
-        let h2 = q.schedule(SimTime::from_nanos(6), vec![3u32]);
-        assert!(q.cancel(h2));
-        assert!(q.event_mut(h2).is_none());
     }
 
     #[test]

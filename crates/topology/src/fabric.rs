@@ -36,8 +36,18 @@ pub struct Link {
     /// Propagation latency, including the source switch's forwarding
     /// delay when `src` is a switch.
     pub latency: SimDuration,
-    /// Line rate in bits per second (serialization delay).
+    /// Line rate in bits per second (serialization delay). `0` marks an
+    /// ideal link (the `p2p` crossbar's): no serialization, no egress
+    /// queue and no pause gate.
     pub rate_bps: u64,
+}
+
+impl Link {
+    /// Whether the link is ideal: it holds no state, so a packet crosses
+    /// it in exactly its latency.
+    pub fn is_ideal(&self) -> bool {
+        self.rate_bps == 0
+    }
 }
 
 /// The longest path any built fabric produces (fat-tree inter-pod:
@@ -116,8 +126,9 @@ impl Route {
 /// Family-specific routing indexes.
 #[derive(Debug, Clone)]
 enum Routing {
-    /// One switch; routes are `[up(src), down(dst)]`.
-    Star,
+    /// The `p2p` ideal crossbar: one link per ordered host pair, laid
+    /// out by [`Topology::crossbar_link`]; routes are that one link.
+    Crossbar,
     LeafSpine {
         hosts_per_leaf: u32,
         spines: u32,
@@ -158,13 +169,16 @@ const HOST_LINK_LAT: SimDuration = SimDuration::from_nanos(250);
 /// Switch-to-switch trunk propagation (one direction).
 const TRUNK_LAT: SimDuration = SimDuration::from_nanos(500);
 /// Store-and-forward latency a switch adds before its egress link.
-const SWITCH_FORWARD: SimDuration = SimDuration::from_nanos(200);
+pub const SWITCH_FORWARD: SimDuration = SimDuration::from_nanos(200);
+/// A `p2p` crossbar link: 500 ns of wire propagation plus the one switch
+/// the pair shares.
+const CROSSBAR_LAT: SimDuration = SimDuration::from_nanos(500 + 200);
 
 impl Topology {
     /// Builds the fabric a spec describes.
     pub fn build(spec: &TopologySpec) -> Topology {
         match *spec {
-            TopologySpec::PointToPoint { hosts, .. } => Self::build_star(spec.clone(), hosts),
+            TopologySpec::PointToPoint { hosts } => Self::crossbar(hosts),
             TopologySpec::LeafSpine {
                 hosts,
                 leaves,
@@ -191,8 +205,51 @@ impl Topology {
             host_up: Vec::new(),
             host_down: Vec::new(),
             switches: 0,
-            routing: Routing::Star,
+            routing: Routing::Crossbar,
         }
+    }
+
+    /// The `p2p` ideal crossbar over `hosts` hosts: one ideal link per
+    /// ordered host pair and no switch node.
+    pub fn crossbar(hosts: u32) -> Topology {
+        let mut t = Self::new_shell(TopologySpec::PointToPoint { hosts: 0 });
+        for _ in 0..hosts {
+            t.add_crossbar_host();
+        }
+        t
+    }
+
+    /// Appends one host to a `p2p` crossbar, with a link to and from
+    /// every earlier host. Earlier link ids do not move, so a crossbar
+    /// can grow one host at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on every other family: their host count is fixed.
+    pub fn add_crossbar_host(&mut self) {
+        let TopologySpec::PointToPoint { hosts } = &mut self.spec else {
+            panic!("topology {} has no port for another host", self.spec);
+        };
+        let new = *hosts;
+        *hosts += 1;
+        for old in 0..new {
+            for (src, dst) in [(old, new), (new, old)] {
+                self.links.push(Link {
+                    src: NodeId::Host(src),
+                    dst: NodeId::Host(dst),
+                    latency: CROSSBAR_LAT,
+                    rate_bps: 0,
+                });
+            }
+        }
+    }
+
+    /// The crossbar link `src → dst`. Host `hi` appends its links after
+    /// the `hi * (hi - 1)` of hosts `0..hi`, as the pair `lo → hi`,
+    /// `hi → lo` for each earlier host `lo`.
+    fn crossbar_link(src: HostId, dst: HostId) -> LinkId {
+        let (lo, hi) = (src.0.min(dst.0), src.0.max(dst.0));
+        LinkId(hi * (hi - 1) + 2 * lo + u32::from(src.0 == hi))
     }
 
     fn add_link(&mut self, src: NodeId, dst: NodeId, base_lat: SimDuration) -> LinkId {
@@ -219,16 +276,6 @@ impl Topology {
         debug_assert_eq!(self.host_up.len(), h as usize);
         self.host_up.push(up);
         self.host_down.push(down);
-    }
-
-    fn build_star(spec: TopologySpec, hosts: u32) -> Topology {
-        let mut t = Self::new_shell(spec);
-        t.switches = 1;
-        for h in 0..hosts {
-            t.wire_host(h, 0);
-        }
-        t.routing = Routing::Star;
-        t
     }
 
     fn build_leaf_spine(spec: TopologySpec, hosts: u32, leaves: u32, spines: u32) -> Topology {
@@ -335,7 +382,7 @@ impl Topology {
 
     /// Number of hosts.
     pub fn num_hosts(&self) -> u32 {
-        self.host_up.len() as u32
+        self.spec.hosts()
     }
 
     /// Number of switches.
@@ -361,7 +408,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `h` is not a host of this fabric.
+    /// Panics if `h` is not a host of this fabric, or on the `p2p`
+    /// crossbar, whose hosts have no switch port.
     pub fn host_uplink(&self, h: HostId) -> LinkId {
         self.host_up[h.0 as usize]
     }
@@ -370,7 +418,7 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `h` is not a host of this fabric.
+    /// Same contract as [`Topology::host_uplink`].
     pub fn host_downlink(&self, h: HostId) -> LinkId {
         self.host_down[h.0 as usize]
     }
@@ -386,15 +434,27 @@ impl Topology {
     /// Panics if `src` or `dst` is not a host of this fabric, or if
     /// `src == dst` (loopback never reaches the wire).
     pub fn route(&self, src: HostId, dst: HostId, key: FlowKey) -> Route {
+        self.route_by(src, dst, || key)
+    }
+
+    /// [`Topology::route`], building the flow key only when the pair has
+    /// more than one equal-cost route: a single route (every crossbar
+    /// pair) needs no hash.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Topology::route`].
+    pub fn route_by(&self, src: HostId, dst: HostId, key: impl FnOnce() -> FlowKey) -> Route {
         let n = self.fanout(src, dst);
-        self.route_indexed(src, dst, ecmp::index(key, n))
+        let idx = if n == 1 { 0 } else { ecmp::index(key(), n) };
+        self.route_indexed(src, dst, idx)
     }
 
     /// Number of equal-cost routes between two hosts.
     fn fanout(&self, src: HostId, dst: HostId) -> usize {
         assert_ne!(src, dst, "loopback route");
         match &self.routing {
-            Routing::Star => 1,
+            Routing::Crossbar => 1,
             Routing::LeafSpine {
                 hosts_per_leaf,
                 spines,
@@ -425,10 +485,13 @@ impl Topology {
     /// The `idx`-th route of the canonical equal-cost set (`idx` must be
     /// `< fanout(src, dst)`).
     fn route_indexed(&self, src: HostId, dst: HostId, idx: usize) -> Route {
+        if let Routing::Crossbar = self.routing {
+            return Route::of(&[Self::crossbar_link(src, dst)]);
+        }
         let up = self.host_uplink(src);
         let down = self.host_downlink(dst);
         match &self.routing {
-            Routing::Star => Route::of(&[up, down]),
+            Routing::Crossbar => unreachable!("returned above"),
             Routing::LeafSpine {
                 hosts_per_leaf,
                 spines,
@@ -533,10 +596,11 @@ mod tests {
     }
 
     #[test]
-    fn star_routes_are_two_hops() {
+    fn crossbar_routes_are_one_ideal_hop() {
         let t = Topology::from_spec("p2p:hosts=4").expect("build");
         assert_eq!(t.num_hosts(), 4);
-        assert_eq!(t.num_switches(), 1);
+        assert_eq!(t.num_switches(), 0);
+        assert_eq!(t.links().len(), 4 * 3);
         for s in 0..4u32 {
             for d in 0..4u32 {
                 if s == d {
@@ -547,11 +611,35 @@ mod tests {
                     HostId(d),
                     FlowKey::new(HostId(s), HostId(d), 1, 2),
                 );
-                assert_eq!(r.len(), 2);
+                assert_eq!(r.len(), 1);
                 connected(&t, &r, HostId(s), HostId(d));
-                assert_eq!(t.equal_cost_routes(HostId(s), HostId(d)).len(), 1);
+                assert_eq!(t.equal_cost_routes(HostId(s), HostId(d)), vec![r]);
+                let link = t.link(r.links()[0]);
+                assert!(link.is_ideal());
+                assert_eq!(link.latency, SimDuration::from_nanos(700));
             }
         }
+    }
+
+    #[test]
+    fn crossbar_grows_without_moving_links() {
+        let mut grown = Topology::crossbar(0);
+        for _ in 0..5 {
+            grown.add_crossbar_host();
+        }
+        let built = Topology::from_spec("p2p:hosts=5").expect("build");
+        assert_eq!(grown.links(), built.links());
+        assert_eq!(grown.spec(), built.spec());
+        // Host 2's links kept their ids when hosts 3 and 4 arrived.
+        assert_eq!(Topology::crossbar(3).links(), &built.links()[..6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no port for another host")]
+    fn fixed_fabrics_do_not_grow() {
+        Topology::from_spec("fat-tree:k=2")
+            .expect("build")
+            .add_crossbar_host();
     }
 
     #[test]

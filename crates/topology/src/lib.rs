@@ -1,13 +1,15 @@
 //! # ragnar-topology — cluster-scale fabrics for the Ragnar testbed
 //!
-//! Everything the point-to-point world of `rdma-verbs` needs to grow
-//! into a shared datacenter fabric:
+//! The one wire model of `rdma-verbs`, from the two-host testbed to a
+//! shared datacenter fabric:
 //!
 //! * [`TopologySpec`] — a declarative, canonicalizable spec grammar
 //!   (`p2p`, `leaf-spine:hosts=256,leaves=8,spines=4`, `fat-tree:k=4`)
 //!   suitable for CLI flags and harness cache keys.
 //! * [`Topology`] — the built fabric: hosts, switches, directed
-//!   [`Link`]s, and per-pair equal-cost route enumeration.
+//!   [`Link`]s, and per-pair equal-cost route enumeration. `p2p` is an
+//!   ideal one-hop crossbar that grows host by host; it is the wire of
+//!   every simulation built without a topology.
 //! * [`ecmp`] — deterministic flow hashing over equal-cost path sets:
 //!   pure-function selection that is identical across thread counts and
 //!   invariant under permutation of the candidate set.
@@ -32,6 +34,6 @@ mod spec;
 pub mod traffic;
 
 pub use ecmp::FlowKey;
-pub use fabric::{Link, LinkId, NodeId, Route, Topology, MAX_HOPS};
+pub use fabric::{Link, LinkId, NodeId, Route, Topology, MAX_HOPS, SWITCH_FORWARD};
 pub use port::{FabricRuntime, PfcPortConfig, PortCounters};
 pub use spec::{SpecError, TopologySpec};

@@ -7,7 +7,9 @@
 //! transmitter drains, and backlog in bytes is what that horizon
 //! implies at line rate. That keeps the fabric allocation-free (no
 //! queued-packet lists) while still producing head-of-line blocking,
-//! serialization under load, and PFC back-pressure.
+//! serialization under load, and PFC back-pressure. An ideal link (the
+//! `p2p` crossbar's) has no such state: a packet crosses it in exactly
+//! its latency, and only its counters move.
 
 use crate::fabric::{LinkId, NodeId, Route, Topology};
 use rnic_model::TrafficClass;
@@ -106,6 +108,19 @@ impl FabricRuntime {
         &self.topo
     }
 
+    /// Grows a `p2p` crossbar by one host (see
+    /// [`Topology::add_crossbar_host`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on every other family: their host count is fixed.
+    pub fn add_crossbar_host(&mut self) {
+        self.topo.add_crossbar_host();
+        let n = self.topo.links().len();
+        self.links.resize(n, LinkState::IDLE);
+        self.counters.resize(n, PortCounters::default());
+    }
+
     /// Whether PFC pause generation is enabled.
     pub fn pfc(&self) -> Option<PfcPortConfig> {
         self.pfc
@@ -128,8 +143,12 @@ impl FabricRuntime {
 
     /// Silences a link's transmitter for one traffic class until at
     /// least `until` (later of the existing gate and the new one). Used
-    /// both by fabric-emitted XOFF and by the defense watchdog.
+    /// both by fabric-emitted XOFF and by the defense watchdog. A no-op
+    /// on an ideal link, which has no pause gate.
     pub fn pause_link(&mut self, link: LinkId, tc: TrafficClass, until: SimTime) {
+        if self.topo.link(link).is_ideal() {
+            return;
+        }
         let st = &mut self.links[link.index()];
         if until > st.paused_until[tc.index()] {
             st.paused_until[tc.index()] = until;
@@ -139,7 +158,8 @@ impl FabricRuntime {
 
     /// Carries a packet across hop `hop` of `route`, starting no
     /// earlier than `now`: waits out the pause gate and any queue ahead,
-    /// serializes at line rate, then propagates. Returns the arrival
+    /// serializes at line rate, then propagates (an ideal link only
+    /// propagates). Returns the arrival
     /// time at the hop's far node plus any PFC pause it emitted (the
     /// caller owns scheduling, so back-pressure is visible to
     /// telemetry).
@@ -157,15 +177,21 @@ impl FabricRuntime {
     ) -> HopOutcome {
         let link_id = route.hop(hop).expect("hop within route");
         let link = *self.topo.link(link_id);
+        let ctr = &mut self.counters[link_id.index()];
+        ctr.rx_packets += 1;
+        ctr.rx_bytes_per_tc[tc.index()] += bytes;
+        if link.is_ideal() {
+            return HopOutcome {
+                arrival: now + link.latency,
+                paused_upstream: None,
+            };
+        }
         let st = &mut self.links[link_id.index()];
         let start = now
             .max_of(st.busy_until)
             .max_of(st.paused_until[tc.index()]);
         st.busy_until = start + SimDuration::serialization(bytes, link.rate_bps);
         let arrival = st.busy_until + link.latency;
-        let ctr = &mut self.counters[link_id.index()];
-        ctr.rx_packets += 1;
-        ctr.rx_bytes_per_tc[tc.index()] += bytes;
 
         let mut paused_upstream = None;
         if let Some(cfg) = self.pfc {
@@ -290,6 +316,27 @@ mod tests {
         rt.note_link_drop(route.links()[2]);
         assert_eq!(rt.counters(route.links()[2]).dropped, 2);
         assert_eq!(rt.counters(route.links()[0]).dropped, 0);
+    }
+
+    #[test]
+    fn ideal_links_only_propagate_and_count() {
+        let mut rt = FabricRuntime::new(Topology::crossbar(2), None);
+        let route = rt.topology().route(
+            HostId(0),
+            HostId(1),
+            FlowKey::new(HostId(0), HostId(1), 1, 2),
+        );
+        let link = route.links()[0];
+        let tc = TrafficClass::new(0);
+        let now = SimTime::from_micros(1);
+        rt.pause_link(link, tc, SimTime::from_millis(1));
+        for _ in 0..3 {
+            let out = rt.traverse(now, &route, 0, 100_000, tc);
+            assert_eq!(out.arrival, now + SimDuration::from_nanos(700));
+        }
+        assert_eq!(rt.backlog_bytes(now, link), 0);
+        assert_eq!(rt.counters(link).rx_packets, 3);
+        assert_eq!(rt.counters(link).pauses_taken, 0);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! A spec is a fabric *family* plus its parameters, written as
 //! `family:key=value,key=value`. Three families exist:
 //!
-//! * `p2p[:hosts=N]` — every host on one non-blocking switch; the
-//!   degenerate case covering the pre-topology world (default 2 hosts).
+//! * `p2p[:hosts=N]` — an ideal one-hop crossbar: one 700 ns link per
+//!   host pair, with no queue, no pause gate and so no link rate; only
+//!   the NIC ports serialize (default 2 hosts). Every
+//!   `Simulation::new` runs on one.
 //! * `leaf-spine:hosts=H,leaves=L,spines=S[,gbps=G]` — a two-tier Clos:
 //!   `H/L` hosts per leaf, every leaf wired to every spine. The leaf
 //!   oversubscription ratio is `(H/L)/S`.
@@ -35,12 +37,10 @@ impl std::error::Error for SpecError {}
 /// A parsed, validated topology description.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TopologySpec {
-    /// All hosts on one non-blocking switch.
+    /// The ideal one-hop crossbar.
     PointToPoint {
         /// Number of hosts.
         hosts: u32,
-        /// Link rate in Gbit/s.
-        gbps: u64,
     },
     /// Two-tier leaf-spine Clos.
     LeafSpine {
@@ -109,14 +109,13 @@ impl TopologySpec {
         }
         let spec = match family {
             "p2p" => {
-                known(&["hosts", "gbps"])?;
+                known(&["hosts"])?;
                 let hosts = get("hosts").unwrap_or(2);
                 if hosts < 2 {
                     return Err(SpecError("p2p needs at least 2 hosts".into()));
                 }
                 TopologySpec::PointToPoint {
                     hosts: hosts as u32,
-                    gbps,
                 }
             }
             "leaf-spine" => {
@@ -174,16 +173,18 @@ impl TopologySpec {
     /// Number of hosts the fabric exposes.
     pub fn hosts(&self) -> u32 {
         match *self {
-            TopologySpec::PointToPoint { hosts, .. } => hosts,
+            TopologySpec::PointToPoint { hosts } => hosts,
             TopologySpec::LeafSpine { hosts, .. } => hosts,
             TopologySpec::FatTree { k, .. } => k * k * k / 4,
         }
     }
 
-    /// Link rate in bits per second.
+    /// Link rate in bits per second. The `p2p` crossbar's links are ideal,
+    /// so its rate is the nominal [`DEFAULT_GBPS`] that tenants pace
+    /// against; the NIC ports are what actually serialize.
     pub fn rate_bps(&self) -> u64 {
         let gbps = match *self {
-            TopologySpec::PointToPoint { gbps, .. } => gbps,
+            TopologySpec::PointToPoint { .. } => DEFAULT_GBPS,
             TopologySpec::LeafSpine { gbps, .. } => gbps,
             TopologySpec::FatTree { gbps, .. } => gbps,
         };
@@ -209,9 +210,7 @@ impl TopologySpec {
 impl fmt::Display for TopologySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            TopologySpec::PointToPoint { hosts, gbps } => {
-                write!(f, "p2p:hosts={hosts},gbps={gbps}")
-            }
+            TopologySpec::PointToPoint { hosts } => write!(f, "p2p:hosts={hosts}"),
             TopologySpec::LeafSpine {
                 hosts,
                 leaves,
@@ -233,7 +232,7 @@ mod tests {
     #[test]
     fn parse_roundtrips_canonical() {
         for s in [
-            "p2p:hosts=2,gbps=100",
+            "p2p:hosts=2",
             "leaf-spine:hosts=256,leaves=8,spines=4,gbps=100",
             "fat-tree:k=4,gbps=100",
         ] {
@@ -247,10 +246,7 @@ mod tests {
     fn defaults_and_whitespace() {
         assert_eq!(
             TopologySpec::parse("p2p"),
-            Ok(TopologySpec::PointToPoint {
-                hosts: 2,
-                gbps: DEFAULT_GBPS
-            })
+            Ok(TopologySpec::PointToPoint { hosts: 2 })
         );
         assert_eq!(
             TopologySpec::parse(" leaf-spine: hosts=16 , leaves=4, spines=2 "),
@@ -275,6 +271,7 @@ mod tests {
             "p2p:hosts=x",
             "leaf-spine:hosts=8,leaves=2,spines=2,radix=9",
             "p2p:hosts",
+            "p2p:hosts=2,gbps=100",
         ] {
             assert!(TopologySpec::parse(bad).is_err(), "accepted {bad}");
         }
