@@ -60,7 +60,17 @@ cargo test --release -q --offline -p rdma-verbs --test packet_arena
 # nic_storm's gates: calendar digest equals the reference-queue digest,
 # and dup_clones == 0.
 echo "== perf smoke: every workload's correctness gates at 1/20 size"
-cargo run --release --offline --manifest-path crates/bench/examples/perf/Cargo.toml -- --smoke > /dev/null
+perf_out=$(cargo run --release --offline --manifest-path crates/bench/examples/perf/Cargo.toml -- --smoke)
+
+echo "== memory gate: no workload's peak RSS above 96 MiB at smoke size"
+# --smoke runs all four workloads whatever --workload says and prints
+# one JSON line each, fabric_incast's 1,024-host set-up among them. With
+# every NIC allocating its MPT cache up front, fabric_incast peaked at
+# 114 MiB and paper_regen at 152 MiB; with the cache allocated on first
+# use they read 38 and 56 MiB.
+peaks=$(printf '%s\n' "$perf_out" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p')
+test "$(printf '%s\n' "$peaks" | wc -l)" -eq 4
+printf '%s\n' "$peaks" | awk '{ print "peak_rss_mb " $1 } $1 > 96 { bad = 1 } END { exit bad }'
 
 echo "== perf unit tests (the root workspace never builds this package)"
 cargo test --release --offline --manifest-path crates/bench/examples/perf/Cargo.toml

@@ -106,9 +106,21 @@ fn table5_covert_quick_digest_pinned() {
     );
 }
 
+#[test]
+fn pythia_compare_quick_digest_pinned() {
+    // The one artifact whose bytes depend on the MPT cache's eviction
+    // order (Pythia's evict+reload baseline).
+    assert_golden(
+        &covert::PythiaCompare,
+        &[],
+        GOLDEN_PYTHIA_COMPARE_QUICK_SEED0,
+    );
+}
+
 /// Pinned digests, captured at master seed 0 with the ReferenceQueue
 /// backend (pre-calendar engine) and identical under the calendar
 /// queue.
 const GOLDEN_FIG4_CONTENTION_QUICK_SEED0: &str = "1b17dd9b64584f994538ce521501af66";
 const GOLDEN_FIG5_MR_ULI_QUICK_SEED0: &str = "26562aed89784d7becfe780cf259eb7a";
 const GOLDEN_TABLE5_COVERT_QUICK_SEED0: &str = "bc6d71c0b219cde00862d55fa1ce7590";
+const GOLDEN_PYTHIA_COMPARE_QUICK_SEED0: &str = "8a2c7bc85effc47805c984b8ab52a9e0";

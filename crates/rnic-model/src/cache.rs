@@ -19,12 +19,19 @@
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
-    /// `sets × ways` tags; `None` = invalid. Most-recently-used first
-    /// within each set (small `ways`, so a shift is cheap and exactly LRU).
-    lines: Vec<Vec<Option<u64>>>,
+    ways: usize,
+    /// Set-major `sets × ways` tags, most-recently-used first within
+    /// each set (small `ways`, so a shift is cheap and exactly LRU);
+    /// [`EMPTY`] marks an invalid way, and invalid ways sit at the LRU
+    /// end. Empty until the first install, so a NIC that never looks up
+    /// an MR never pays for its cache.
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
+
+/// The invalid-way sentinel; `u64::MAX` is therefore not a valid tag.
+const EMPTY: u64 = u64::MAX;
 
 impl SetAssocCache {
     /// Creates a cache with `entries` total lines and `ways` associativity.
@@ -39,10 +46,10 @@ impl SetAssocCache {
             entries.is_multiple_of(ways),
             "entries ({entries}) must be a multiple of ways ({ways})"
         );
-        let sets = entries / ways;
         SetAssocCache {
-            sets,
-            lines: vec![vec![None; ways]; sets],
+            sets: entries / ways,
+            ways,
+            tags: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -54,52 +61,60 @@ impl SetAssocCache {
         (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.sets
     }
 
+    /// The ways of `tag`'s set (empty before the first install).
+    fn set_ways(&mut self, tag: u64) -> &mut [u64] {
+        let start = self.set_of(tag) * self.ways;
+        self.tags
+            .get_mut(start..start + self.ways)
+            .unwrap_or(&mut [])
+    }
+
     /// Accesses `tag`: returns `true` on hit. Misses install the tag,
     /// evicting the LRU way of its set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is `u64::MAX`, the invalid-way sentinel.
     pub fn access(&mut self, tag: u64) -> bool {
-        let set = self.set_of(tag);
-        let ways = &mut self.lines[set];
-        if let Some(pos) = ways.iter().position(|w| *w == Some(tag)) {
-            // Move to MRU position.
-            let line = ways.remove(pos);
-            ways.insert(0, line);
-            self.hits += 1;
-            true
-        } else {
-            ways.pop();
-            ways.insert(0, Some(tag));
-            self.misses += 1;
-            false
+        assert_ne!(tag, EMPTY, "u64::MAX is reserved as the invalid tag");
+        if self.tags.is_empty() {
+            self.tags = vec![EMPTY; self.sets * self.ways];
         }
+        let ways = self.set_ways(tag);
+        // A hit moves the tag to the MRU way; a miss shifts the LRU way
+        // out and installs the tag there.
+        let pos = ways.iter().position(|&w| w == tag);
+        let end = pos.unwrap_or(ways.len() - 1);
+        ways[..=end].rotate_right(1);
+        ways[0] = tag;
+        self.hits += u64::from(pos.is_some());
+        self.misses += u64::from(pos.is_none());
+        pos.is_some()
     }
 
     /// True if `tag` is currently resident (no LRU update, no counter
     /// update).
     pub fn probe(&self, tag: u64) -> bool {
-        self.lines[self.set_of(tag)].contains(&Some(tag))
+        let start = self.set_of(tag) * self.ways;
+        let ways = self.tags.get(start..start + self.ways).unwrap_or(&[]);
+        tag != EMPTY && ways.contains(&tag)
     }
 
     /// Invalidates `tag` if resident; returns whether it was.
     pub fn invalidate(&mut self, tag: u64) -> bool {
-        let set = self.set_of(tag);
-        if let Some(pos) = self.lines[set].iter().position(|w| *w == Some(tag)) {
-            self.lines[set][pos] = None;
-            // Keep invalid lines at LRU end.
-            let line = self.lines[set].remove(pos);
-            self.lines[set].push(line);
-            true
-        } else {
-            false
-        }
+        let ways = self.set_ways(tag);
+        let Some(pos) = ways.iter().position(|&w| w == tag && w != EMPTY) else {
+            return false;
+        };
+        // Keep invalid ways at the LRU end.
+        ways[pos..].rotate_left(1);
+        ways[ways.len() - 1] = EMPTY;
+        true
     }
 
     /// Flushes the whole cache.
     pub fn flush(&mut self) {
-        for set in &mut self.lines {
-            for way in set.iter_mut() {
-                *way = None;
-            }
-        }
+        self.tags.fill(EMPTY);
     }
 
     /// Total hits so far.
@@ -192,6 +207,24 @@ mod tests {
         c.access(6);
         c.flush();
         assert!(!c.probe(6));
+    }
+
+    #[test]
+    fn untouched_cache_allocates_nothing() {
+        let mut c = SetAssocCache::new(4096, 8);
+        assert!(!c.probe(1));
+        assert!(!c.invalidate(1));
+        c.flush();
+        assert!(c.tags.is_empty());
+        assert!(!c.access(1));
+        assert_eq!(c.tags.len(), 4096);
+        assert!(!c.probe(EMPTY), "the sentinel is never resident");
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn sentinel_tag_panics() {
+        SetAssocCache::new(4, 2).access(EMPTY);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the right operating points (see `DESIGN.md` §4 and the ablation
 //! benches).
 
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimRng};
 
 /// The ConnectX generations evaluated in the paper (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -259,6 +259,13 @@ impl DeviceProfile {
             DeviceKind::ConnectX5 => Self::connectx5(),
             DeviceKind::ConnectX6 => Self::connectx6(),
         }
+    }
+
+    /// PCIe completion latency with arbitration jitter drawn from `rng`.
+    pub(crate) fn pcie_delay(&self, rng: &mut SimRng) -> SimDuration {
+        let base = self.pcie_latency.as_picos() as f64;
+        let j = rng.jitter_ps(self.pcie_jitter_sigma.as_picos() as f64);
+        SimDuration::from_picos((base + j).max(0.0).round() as u64)
     }
 
     /// Returns a copy with all *bandwidths and processing rates* scaled

@@ -86,6 +86,30 @@ struct QpState {
     retire_hold: std::collections::BTreeMap<u64, (SimTime, Cqe)>,
     /// Monotonic CQE delivery clock for this QP.
     retire_clock: SimTime,
+    /// Requester-side WQE ordering: fetch completions are monotonic so
+    /// PCIe jitter can never reorder WQEs within the QP.
+    wqe_fetch_fence: SimTime,
+    /// Requester-side RC ordering: requests enter the egress scheduler
+    /// in WQE order (a gathered write cannot be overtaken by a later
+    /// inline op).
+    requester_order: SimTime,
+    /// Responder-side RC ordering: requests leave the TPU in PSN order
+    /// even when they hit different banks.
+    responder_order: SimTime,
+    /// Responder-side RC ordering, DMA stage: host-memory effects of the
+    /// QP's requests happen in PSN order (reads snapshot before later
+    /// writes land — the anti-dependency).
+    responder_dma_order: SimTime,
+    /// Responder-side placement ordering: a read (or atomic) must observe
+    /// all earlier writes on the QP, even though DMA reads and writes use
+    /// different PCIe directions.
+    placement_fence: SimTime,
+}
+
+/// Clamps `at` to a per-QP ordering fence and advances the fence to it.
+fn advance(fence: &mut SimTime, at: SimTime) -> SimTime {
+    *fence = at.max_of(*fence);
+    *fence
 }
 
 /// Why a post was rejected.
@@ -295,24 +319,6 @@ pub struct Rnic {
     tx_issue_scheduled: bool,
     assembly: FxHashMap<(HostId, u64), AssemblyState>,
     recv_targets: FxHashMap<(HostId, u64), RecvWqe>,
-    /// Responder-side placement ordering: a read (or atomic) on a QP must
-    /// observe all earlier writes on that QP, even though DMA reads and
-    /// writes use different PCIe directions.
-    placement_fence: FxHashMap<QpNum, SimTime>,
-    /// Requester-side WQE ordering: per-QP fetch completions are
-    /// monotonic so PCIe jitter can never reorder WQEs within a QP.
-    wqe_fetch_fence: FxHashMap<QpNum, SimTime>,
-    /// Responder-side RC ordering: requests of one QP leave the TPU in
-    /// PSN order even when they hit different banks.
-    responder_order: FxHashMap<QpNum, SimTime>,
-    /// Responder-side RC ordering, DMA stage: host-memory effects of one
-    /// QP's requests happen in PSN order (reads snapshot before later
-    /// writes land — the anti-dependency).
-    responder_dma_order: FxHashMap<QpNum, SimTime>,
-    /// Requester-side RC ordering: requests of one QP enter the egress
-    /// scheduler in WQE order (a gathered write cannot be overtaken by a
-    /// later inline op).
-    requester_order: FxHashMap<QpNum, SimTime>,
     /// In-flight messages awaiting completion, for retransmission.
     inflight: FxHashMap<u64, Inflight>,
     /// Responder replay cache for atomics: a retransmitted atomic must
@@ -365,11 +371,6 @@ impl Rnic {
             tx_issue_scheduled: false,
             assembly: FxHashMap::default(),
             recv_targets: FxHashMap::default(),
-            placement_fence: FxHashMap::default(),
-            wqe_fetch_fence: FxHashMap::default(),
-            responder_order: FxHashMap::default(),
-            responder_dma_order: FxHashMap::default(),
-            requester_order: FxHashMap::default(),
             inflight: FxHashMap::default(),
             atomic_replay: FxHashMap::default(),
             atomic_replay_order: VecDeque::new(),
@@ -463,6 +464,11 @@ impl Rnic {
                 retire_seq: 0,
                 retire_hold: std::collections::BTreeMap::new(),
                 retire_clock: SimTime::ZERO,
+                wqe_fetch_fence: SimTime::ZERO,
+                requester_order: SimTime::ZERO,
+                responder_order: SimTime::ZERO,
+                responder_dma_order: SimTime::ZERO,
+                placement_fence: SimTime::ZERO,
             },
         );
         assert!(prev.is_none(), "QP {num:?} already exists");
@@ -606,15 +612,6 @@ impl Rnic {
         self.noc.activation_count()
     }
 
-    /// PCIe completion latency with arbitration jitter.
-    fn pcie_delay(&mut self) -> SimDuration {
-        let base = self.profile.pcie_latency.as_picos() as f64;
-        let j = self
-            .rng
-            .jitter_ps(self.profile.pcie_jitter_sigma.as_picos() as f64);
-        SimDuration::from_picos((base + j).max(0.0).round() as u64)
-    }
-
     fn next_msg_id(&mut self) -> u64 {
         self.msg_seq += 1;
         self.msg_seq
@@ -675,12 +672,10 @@ impl Rnic {
         self.counters.pcie_bytes += WQE_BYTES;
         let ser = SimDuration::serialization(WQE_BYTES, self.profile.pcie_rate_bps);
         let res = self.pcie_up.reserve(now, ser);
-        let mut ready = res.end + self.pcie_delay();
         // Verbs ordering: WQEs on one QP execute in post order, so fetch
         // completions must be monotonic per QP despite PCIe jitter.
-        let fence = self.wqe_fetch_fence.entry(qp).or_insert(SimTime::ZERO);
-        ready = ready.max_of(*fence);
-        *fence = ready;
+        let delay = self.profile.pcie_delay(&mut self.rng);
+        let ready = advance(&mut state.wqe_fetch_fence, res.end + delay);
         out.push(NicAction::Schedule {
             at: ready,
             event: NicEvent::WqeFetched { qp, wqe },
@@ -765,7 +760,7 @@ impl Rnic {
                 if needs_gather {
                     self.counters.pcie_bytes += wqe.len;
                     let ser = SimDuration::serialization(wqe.len, self.profile.pcie_rate_bps);
-                    let delay = self.pcie_delay();
+                    let delay = self.profile.pcie_delay(&mut self.rng);
                     let res = self.pcie_up.reserve(now, ser);
                     // Claim the per-QP hand-off slot now so later WQEs of
                     // this QP cannot slip past while the gather runs.
@@ -1452,7 +1447,7 @@ impl Rnic {
                 self.counters.pcie_bytes += payload_len;
                 let ser =
                     SimDuration::serialization(payload_len.max(1), self.profile.pcie_rate_bps);
-                let delay = self.pcie_delay();
+                let delay = self.profile.pcie_delay(&mut self.rng);
                 let res = self.pcie_down.reserve(now, ser);
                 out.push(NicAction::Schedule {
                     at: res.end + delay,
@@ -1557,10 +1552,8 @@ impl Rnic {
 
     /// Clamps a responder pipeline event to PSN order for its QP.
     fn responder_fence(&mut self, qp: QpNum, at: SimTime) -> SimTime {
-        let fence = self.responder_order.entry(qp).or_insert(SimTime::ZERO);
-        let at = at.max_of(*fence);
-        *fence = at;
-        at
+        let state = self.qps.get_mut(&qp).expect("fence on unknown QP");
+        advance(&mut state.responder_order, at)
     }
 
     /// Fires when a message's retransmission timer expires.
@@ -1613,18 +1606,8 @@ impl Rnic {
 
     /// Clamps a requester request hand-off to WQE order for its QP.
     fn requester_fence(&mut self, qp: QpNum, at: SimTime) -> SimTime {
-        let fence = self.requester_order.entry(qp).or_insert(SimTime::ZERO);
-        let at = at.max_of(*fence);
-        *fence = at;
-        at
-    }
-
-    /// Clamps a responder DMA completion to PSN order for its QP.
-    fn responder_dma_fence(&mut self, qp: QpNum, at: SimTime) -> SimTime {
-        let fence = self.responder_dma_order.entry(qp).or_insert(SimTime::ZERO);
-        let at = at.max_of(*fence);
-        *fence = at;
-        at
+        let state = self.qps.get_mut(&qp).expect("fence on unknown QP");
+        advance(&mut state.requester_order, at)
     }
 
     fn tpu_done(
@@ -1638,20 +1621,17 @@ impl Rnic {
             let p = arena.get(h);
             (p.kind, p.dst_qp, p.total_len, p.payload.len() as u64)
         };
+        let state = self.qps.get_mut(&dst_qp).expect("fence on unknown QP");
         match kind {
             PacketKind::ReadReq => {
                 // DMA-read the data from host memory, after any earlier
                 // write on this QP has been placed (same-QP ordering).
                 self.counters.pcie_bytes += total_len;
                 let ser = SimDuration::serialization(total_len.max(1), self.profile.pcie_rate_bps);
-                let delay = self.pcie_delay();
+                let delay = self.profile.pcie_delay(&mut self.rng);
                 let res = self.pcie_up.reserve(now, ser);
-                let fence = self
-                    .placement_fence
-                    .get(&dst_qp)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO);
-                let at = self.responder_dma_fence(dst_qp, (res.end + delay).max_of(fence));
+                let ready = (res.end + delay).max_of(state.placement_fence);
+                let at = advance(&mut state.responder_dma_order, ready);
                 out.push(NicAction::Schedule {
                     at,
                     event: NicEvent::DmaDone { pkt: h },
@@ -1661,26 +1641,21 @@ impl Rnic {
                 self.counters.pcie_bytes += payload_len;
                 let ser =
                     SimDuration::serialization(payload_len.max(1), self.profile.pcie_rate_bps);
-                let delay = self.pcie_delay();
+                let delay = self.profile.pcie_delay(&mut self.rng);
                 let res = self.pcie_down.reserve(now, ser);
-                let placed = self.responder_dma_fence(dst_qp, res.end + delay);
-                let fence = self.placement_fence.entry(dst_qp).or_insert(SimTime::ZERO);
-                *fence = fence.max_of(placed);
+                let placed = advance(&mut state.responder_dma_order, res.end + delay);
+                state.placement_fence = state.placement_fence.max_of(placed);
                 out.push(NicAction::Schedule {
                     at: placed,
                     event: NicEvent::DmaDone { pkt: h },
                 });
             }
             PacketKind::AtomicReq => {
-                let fence = self
-                    .placement_fence
-                    .get(&dst_qp)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO);
-                let res = self
-                    .atomic_unit
-                    .reserve(now.max_of(fence), self.profile.atomic_unit_service);
-                let at = self.responder_dma_fence(dst_qp, res.end);
+                let res = self.atomic_unit.reserve(
+                    now.max_of(state.placement_fence),
+                    self.profile.atomic_unit_service,
+                );
+                let at = advance(&mut state.responder_dma_order, res.end);
                 out.push(NicAction::Schedule {
                     at,
                     event: NicEvent::AtomicExecDone { pkt: h },

@@ -166,3 +166,141 @@ proptest! {
         prop_assert!((svc - want).abs() <= 1.0, "{svc} vs {want}");
     }
 }
+
+/// One way of a set; `None` marks an invalid way.
+type Way = Option<u64>;
+
+/// The MPT cache as it was first written — one heap `Vec` of ways per
+/// set, `None` marking an invalid way — kept as the oracle for the flat,
+/// lazily allocated [`SetAssocCache`].
+struct NestedLru {
+    sets: usize,
+    lines: Vec<Vec<Way>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl NestedLru {
+    fn new(entries: usize, ways: usize) -> Self {
+        let sets = entries / ways;
+        NestedLru {
+            sets,
+            lines: vec![vec![None; ways]; sets],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set_of(&self, tag: u64) -> usize {
+        (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.sets
+    }
+
+    fn access(&mut self, tag: u64) -> bool {
+        let set = self.set_of(tag);
+        let ways = &mut self.lines[set];
+        if let Some(pos) = ways.iter().position(|w| *w == Some(tag)) {
+            let line = ways.remove(pos);
+            ways.insert(0, line);
+            self.hits += 1;
+            true
+        } else {
+            ways.pop();
+            ways.insert(0, Some(tag));
+            self.misses += 1;
+            false
+        }
+    }
+
+    fn probe(&self, tag: u64) -> bool {
+        self.lines[self.set_of(tag)].contains(&Some(tag))
+    }
+
+    fn invalidate(&mut self, tag: u64) -> bool {
+        let set = self.set_of(tag);
+        if let Some(pos) = self.lines[set].iter().position(|w| *w == Some(tag)) {
+            self.lines[set][pos] = None;
+            let line = self.lines[set].remove(pos);
+            self.lines[set].push(line);
+            true
+        } else {
+            false
+        }
+    }
+
+    fn flush(&mut self) {
+        for set in &mut self.lines {
+            set.fill(None);
+        }
+    }
+}
+
+/// `(entries, ways)`: a one-set toy, a small cache, and the CX-5 and
+/// CX-6 MPT cache geometries.
+const GEOMETRIES: [(usize, usize); 4] = [(2, 2), (64, 4), (4096, 8), (8192, 16)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat cache and the nested oracle agree on every return value
+    /// and on the hit/miss counters after every call, for access
+    /// sequences that keep a few sets over-subscribed.
+    #[test]
+    fn flat_cache_matches_nested_oracle(
+        geometry in 0usize..GEOMETRIES.len(),
+        bases in prop::collection::vec(0u64..1_000_000, 1..4),
+        ops in prop::collection::vec((0u8..8, 0usize..64), 1..400),
+    ) {
+        let (entries, ways) = GEOMETRIES[geometry];
+        let mut flat = SetAssocCache::new(entries, ways);
+        let mut oracle = NestedLru::new(entries, ways);
+        // A few colliding sets, each with more tags than ways.
+        let mut tags = Vec::new();
+        for &base in &bases {
+            tags.push(base);
+            tags.extend(flat.eviction_set(base, ways + 2));
+        }
+        for (op, pick) in ops {
+            let tag = tags[pick % tags.len()];
+            match op {
+                0..=4 => prop_assert_eq!(flat.access(tag), oracle.access(tag), "access {}", tag),
+                5 => prop_assert_eq!(flat.probe(tag), oracle.probe(tag), "probe {}", tag),
+                6 => prop_assert_eq!(flat.invalidate(tag), oracle.invalidate(tag), "invalidate {}", tag),
+                _ => {
+                    flat.flush();
+                    oracle.flush();
+                }
+            }
+            prop_assert_eq!(flat.hits(), oracle.hits);
+            prop_assert_eq!(flat.misses(), oracle.misses);
+        }
+        for &tag in &tags {
+            prop_assert_eq!(flat.probe(tag), oracle.probe(tag), "final residency of {}", tag);
+        }
+    }
+}
+
+proptest! {
+    /// At the CX-5 preset's real geometry (4,096 entries, 8-way), an
+    /// eviction set of 8 evicts the victim and no 7 of those tags do:
+    /// a reliable miss oracle reduces to exactly the associativity.
+    #[test]
+    fn cx5_eviction_set_reduces_to_associativity(victim in 0u64..(1 << 32)) {
+        let profile = DeviceProfile::connectx5();
+        let fresh = TranslationUnit::new(&profile).mpt_cache().clone();
+        let set = fresh.eviction_set(victim, profile.mpt_cache_ways);
+        prop_assert_eq!(set.len(), 8);
+        let evicts = |tags: &[u64]| {
+            let mut cache = fresh.clone();
+            cache.access(victim);
+            for &t in tags {
+                cache.access(t);
+            }
+            !cache.probe(victim)
+        };
+        prop_assert!(evicts(&set), "8 conflicting tags must evict {}", victim);
+        for skip in 0..set.len() {
+            let seven: Vec<u64> = (0..set.len()).filter(|&i| i != skip).map(|i| set[i]).collect();
+            prop_assert!(!evicts(&seven), "7 tags evicted {} (without #{})", victim, skip);
+        }
+    }
+}
