@@ -16,11 +16,26 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace)"
 cargo test -q --workspace --offline
 
+echo "== build the ragnar binary once; the smokes below call it"
+cargo build --release --offline
+ragnar=target/release/ragnar
+# The artifact digest on a run's manifest line; fails when there is none.
+digest() {
+    d=$(printf '%s\n' "$1" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
+    test -n "$d" && printf '%s\n' "$d"
+}
+
+echo "== dispatch smoke: an unknown experiment name fails"
+if "$ragnar" nosuch 2> /dev/null; then
+    echo "ragnar nosuch exited 0" >&2
+    exit 1
+fi
+
 echo "== chaos smoke: seeded fault plans through fig4_contention, under the monitors"
 # A monitor violation fails its cell, and a failed cell fails the exit code.
 for chaos_seed in 1 2 3; do
-    cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-        --quick --no-cache --chaos-seed "$chaos_seed" --monitors fail-cell > /dev/null
+    "$ragnar" fig4_contention --quick --no-cache \
+        --chaos-seed "$chaos_seed" --monitors fail-cell > /dev/null
 done
 
 # A throwaway directory for the smokes' output files, so neither the
@@ -29,30 +44,22 @@ smoke_results=$(mktemp -d)
 
 echo "== trace smoke: fig4_contention --trace emits valid JSON, digest unchanged"
 trace_file="$smoke_results/trace.json"
-trace_out=$(cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-    --quick --no-cache --trace "$trace_file")
-baseline_out=$(cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-    --quick --no-cache)
+trace_out=$("$ragnar" fig4_contention --quick --no-cache --trace "$trace_file")
+baseline_out=$("$ragnar" fig4_contention --quick --no-cache)
 # The trace file must exist, be non-trivial, and read as a Chrome
 # trace_event document.
 test -s "$trace_file"
 grep -q '"traceEvents":\[' "$trace_file"
 grep -q '"ph":"X"' "$trace_file"
 # Tracing must not move the artifact digest on the manifest line.
-trace_digest=$(printf '%s\n' "$trace_out" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-baseline_digest=$(printf '%s\n' "$baseline_out" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-test -n "$trace_digest"
-test "$trace_digest" = "$baseline_digest"
+baseline_digest=$(digest "$baseline_out")
+test "$(digest "$trace_out")" = "$baseline_digest"
 
 echo "== cluster smoke: noisy_neighbor digest is thread-count invariant"
-nn_t1=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \
-    --quick --no-cache --threads 1)
-nn_t4=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \
-    --quick --no-cache --threads 4)
-nn_t1_digest=$(printf '%s\n' "$nn_t1" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-nn_t4_digest=$(printf '%s\n' "$nn_t4" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-test -n "$nn_t1_digest"
-test "$nn_t1_digest" = "$nn_t4_digest"
+nn_t1=$("$ragnar" noisy_neighbor --quick --no-cache --threads 1)
+nn_t4=$("$ragnar" noisy_neighbor --quick --no-cache --threads 4)
+nn_t1_digest=$(digest "$nn_t1")
+test "$(digest "$nn_t4")" = "$nn_t1_digest"
 
 echo "== packet arena: zero allocations per hop, copy only on chaos duplication"
 cargo test --release -q --offline -p rdma-verbs --test packet_arena
@@ -76,24 +83,18 @@ echo "== perf unit tests (the root workspace never builds this package)"
 cargo test --release --offline --manifest-path crates/bench/examples/perf/Cargo.toml
 
 echo "== monitor smoke: a clean run under online invariant monitors is digest-pinned"
-nn_mon=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \
-    --quick --no-cache --monitors abort-run)
-nn_mon_digest=$(printf '%s\n' "$nn_mon" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-test -n "$nn_mon_digest"
-test "$nn_mon_digest" = "$nn_t1_digest"
+nn_mon=$("$ragnar" noisy_neighbor --quick --no-cache --monitors abort-run)
+test "$(digest "$nn_mon")" = "$nn_t1_digest"
 
 echo "== profile smoke: --profile leaves the digest pinned"
-prof_out=$(cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-    --quick --no-cache --profile)
-prof_digest=$(printf '%s\n' "$prof_out" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-test -n "$prof_digest"
-test "$prof_digest" = "$baseline_digest"
+prof_out=$("$ragnar" fig4_contention --quick --no-cache --profile)
+test "$(digest "$prof_out")" = "$baseline_digest"
 # The profiler actually collected something.
 printf '%s\n' "$prof_out" | grep -q '^profile: '
 
 echo "== run-report smoke: report.json / report.md carry the documented shape"
-cargo run --release --offline -p ragnar-bench --bin fig4_contention -- \
-    --quick --force --metrics --profile --results "$smoke_results" > /dev/null
+"$ragnar" fig4_contention --quick --force --metrics --profile \
+    --results "$smoke_results" > /dev/null
 smoke_report="$smoke_results/fig4_contention/report.json"
 test -s "$smoke_report"
 test -s "$smoke_results/fig4_contention/report.md"

@@ -1,11 +1,12 @@
-//! The experiment behind every figure/table binary, as
-//! [`ragnar_harness::Experiment`] implementations.
+//! The experiment behind every figure and table, as
+//! [`ragnar_harness::Experiment`] implementations listed in
+//! [`registry`], which the `ragnar` binary serves.
 //!
 //! Each experiment declares its parameter space in `params` (one
 //! [`Config`](ragnar_harness::Config) per independently cacheable cell)
 //! and measures one cell in `run`; the harness handles scheduling,
 //! seeding, caching and the run manifest. `summarize` reassembles the
-//! exact report the old standalone binaries printed.
+//! experiment's report from its cells.
 
 pub mod cluster;
 pub mod contention;

@@ -1,9 +1,9 @@
 //! # ragnar-bench — experiment implementations and report helpers
 //!
 //! Every figure/table of the paper lives in [`experiments`] as a
-//! `ragnar_harness::Experiment`; the `src/bin/*` binaries are thin
-//! wrappers that hand one experiment to `ragnar_harness::run_main`
-//! (`cargo run -p ragnar-bench --bin <experiment> -- --help`). See
+//! `ragnar_harness::Experiment`, listed in
+//! [`experiments::registry`]; the root package's `ragnar` binary serves
+//! that registry (`cargo run --release -- <experiment> --help`). See
 //! `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for the
 //! shared CLI and cache layout.
 

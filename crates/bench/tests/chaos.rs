@@ -4,47 +4,14 @@
 //! fabrics. The companion guarantee — that *no* chaos flags leave the
 //! golden digests untouched — is pinned in `golden.rs`.
 
-use ragnar_bench::experiments::contention;
-use ragnar_harness::executor::{self, ExecOptions};
-use ragnar_harness::hash::content_hash;
-use ragnar_harness::{Cli, Experiment, Outcome};
+mod common;
 
-/// Quick-mode digest of fig4 with the given extra flags (mirrors
+use ragnar_bench::experiments::contention;
+
+/// Quick-mode digest of fig4 with the given extra flags (as in
 /// `golden.rs`, minus the pinning).
 fn digest(threads: usize, extras: &[&str]) -> String {
-    let mut args = vec!["--quick".to_string(), "--seed".to_string(), "0".to_string()];
-    args.extend(extras.iter().map(|s| s.to_string()));
-    let cli = Cli::parse(args).expect("cli parses");
-    let exp = &contention::Fig4Contention;
-    let configs = exp.params(&cli);
-    let records = executor::execute(
-        exp,
-        &configs,
-        cli.seed,
-        None,
-        &ExecOptions {
-            threads,
-            force: true,
-            ..Default::default()
-        },
-    );
-    let mut material = String::new();
-    for r in &records {
-        match &r.outcome {
-            Outcome::Done(a) => {
-                material.push_str(&a.to_value().encode());
-                material.push('\n');
-            }
-            Outcome::Failed { message, .. } => {
-                panic!(
-                    "config [{}] failed under chaos: {message}",
-                    r.config.label()
-                )
-            }
-            other => panic!("config [{}] did not finish: {other:?}", r.config.label()),
-        }
-    }
-    content_hash(material.as_bytes())
+    common::quick_digest(&contention::Fig4Contention, threads, extras)
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! carry no such key must reject the flag: running anyway would serve
 //! single-switch, fault-free results under the unflagged cache key.
 
-use ragnar_bench::experiments::{cluster, offset, tables};
-use ragnar_harness::{run_with_cli, Cli};
+use ragnar_bench::experiments::{cluster, covert, offset, tables};
+use ragnar_harness::{run_with_cli, Cli, Experiment};
 
 fn cli(args: &[&str]) -> Cli {
     Cli::parse(args.iter().map(|s| s.to_string())).expect("cli parses")
@@ -63,5 +63,24 @@ fn arguments_no_experiment_reads_are_rejected() {
         .expect_err("fig6 reads neither argument");
         assert!(err.contains(args.join(" ").as_str()), "got: {err}");
         assert!(err.contains("fig6_abs_offset"), "got: {err}");
+    }
+}
+
+/// A missing or non-integer `--bits` is an error, not the default
+/// payload length.
+#[test]
+fn malformed_bits_values_are_errors() {
+    let exps: [&dyn Experiment; 2] = [&covert::Table5Covert, &cluster::BankruptCovert];
+    for exp in exps {
+        for (bits, want) in [
+            (&["--bits", "abc"][..], "--bits needs an integer, got 'abc'"),
+            (&["--bits"][..], "--bits needs a value"),
+        ] {
+            // The filter matches no config, so a run that ignores the
+            // bad value fails fast here instead of running the sweep.
+            let args = [&["--no-cache", "--only", "no-such-label"][..], bits].concat();
+            let err = run_with_cli(exp, &cli(&args)).expect_err("malformed --bits");
+            assert!(err.contains(want), "{} {args:?} -> {err}", exp.name());
+        }
     }
 }

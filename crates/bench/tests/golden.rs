@@ -16,54 +16,15 @@
 //! experiment's `version()`) so stale caches are invalidated. The
 //! workflow is documented in EXPERIMENTS.md.
 
+mod common;
+
+use common::quick_digest;
 use ragnar_bench::experiments::{contention, covert, uli};
-use ragnar_harness::executor::{self, ExecOptions};
-use ragnar_harness::hash::content_hash;
-use ragnar_harness::{Cli, Experiment, Outcome};
-
-/// Quick-mode CLI at a fixed seed, as `<bin> --quick --seed 0` would
-/// parse it, plus experiment-specific extras.
-fn quick_cli(extras: &[&str]) -> Cli {
-    let mut args = vec!["--quick".to_string(), "--seed".to_string(), "0".to_string()];
-    args.extend(extras.iter().map(|s| s.to_string()));
-    Cli::parse(args).expect("cli parses")
-}
-
-/// Runs the experiment's full quick-mode sweep (no cache, forced) and
-/// digests all artifacts in config order.
-fn artifact_digest(exp: &dyn Experiment, threads: usize, extras: &[&str]) -> String {
-    let cli = quick_cli(extras);
-    let configs = exp.params(&cli);
-    let records = executor::execute(
-        exp,
-        &configs,
-        cli.seed,
-        None,
-        &ExecOptions {
-            threads,
-            force: true,
-            ..Default::default()
-        },
-    );
-    let mut material = String::new();
-    for r in &records {
-        match &r.outcome {
-            Outcome::Done(a) => {
-                material.push_str(&a.to_value().encode());
-                material.push('\n');
-            }
-            Outcome::Failed { message, .. } => {
-                panic!("config [{}] failed: {message}", r.config.label())
-            }
-            other => panic!("config [{}] did not finish: {other:?}", r.config.label()),
-        }
-    }
-    content_hash(material.as_bytes())
-}
+use ragnar_harness::Experiment;
 
 /// Asserts the digest is pinned AND thread-count invariant.
 fn assert_golden(exp: &dyn Experiment, extras: &[&str], pinned: &str) {
-    let single = artifact_digest(exp, 1, extras);
+    let single = quick_digest(exp, 1, extras);
     assert_eq!(
         single,
         pinned,
@@ -71,7 +32,7 @@ fn assert_golden(exp: &dyn Experiment, extras: &[&str], pinned: &str) {
          re-pin only for intentional experiment changes)",
         exp.name()
     );
-    let parallel = artifact_digest(exp, 4, extras);
+    let parallel = quick_digest(exp, 4, extras);
     assert_eq!(
         single,
         parallel,

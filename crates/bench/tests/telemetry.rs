@@ -3,63 +3,19 @@
 //! trace it produces must itself be deterministic — the same seed gives
 //! a byte-identical Chrome trace at any thread count.
 
+mod common;
+
+use common::{artifact_digest, quick_cli, quick_digest, run_quick};
 use ragnar_bench::experiments::{cluster, contention, uli};
-use ragnar_harness::executor::{self, ExecOptions, TelemetrySpec};
+use ragnar_harness::executor::TelemetrySpec;
 use ragnar_harness::hash::content_hash;
-use ragnar_harness::{Cli, Experiment, Outcome, RunRecord, Value};
+use ragnar_harness::{Experiment, RunRecord, Value};
 use ragnar_telemetry::{chrome_trace_json, profile, Target, TargetSet, TraceCell};
 
 /// Pinned quick-mode digests, mirrored from `golden.rs`: the telemetry
 /// runs below must reproduce them exactly.
 const GOLDEN_FIG4_CONTENTION_QUICK_SEED0: &str = "1b17dd9b64584f994538ce521501af66";
 const GOLDEN_FIG5_MR_ULI_QUICK_SEED0: &str = "26562aed89784d7becfe780cf259eb7a";
-
-fn quick_cli(extras: &[&str]) -> Cli {
-    let mut args = vec!["--quick".to_string(), "--seed".to_string(), "0".to_string()];
-    args.extend(extras.iter().map(|s| s.to_string()));
-    Cli::parse(args).expect("cli parses")
-}
-
-/// Runs the quick sweep under the given telemetry spec and returns the
-/// records in config order.
-fn run_quick(
-    exp: &dyn Experiment,
-    threads: usize,
-    extras: &[&str],
-    telemetry: TelemetrySpec,
-) -> Vec<RunRecord> {
-    let cli = quick_cli(extras);
-    let configs = exp.params(&cli);
-    executor::execute(
-        exp,
-        &configs,
-        cli.seed,
-        None,
-        &ExecOptions {
-            threads,
-            force: true,
-            telemetry,
-            ..Default::default()
-        },
-    )
-}
-
-fn artifact_digest(records: &[RunRecord]) -> String {
-    let mut material = String::new();
-    for r in records {
-        match &r.outcome {
-            Outcome::Done(a) => {
-                material.push_str(&a.to_value().encode());
-                material.push('\n');
-            }
-            Outcome::Failed { message, .. } => {
-                panic!("config [{}] failed: {message}", r.config.label())
-            }
-            other => panic!("config [{}] did not finish: {other:?}", r.config.label()),
-        }
-    }
-    content_hash(material.as_bytes())
-}
 
 fn full_telemetry() -> TelemetrySpec {
     TelemetrySpec {
@@ -224,14 +180,9 @@ fn pfc_pause_spans_are_present_and_thread_invariant() {
 fn profiler_leaves_golden_digest_unchanged() {
     profile::reset();
     profile::set_enabled(true);
-    let fig4 = run_quick(
-        &contention::Fig4Contention,
-        2,
-        &[],
-        TelemetrySpec::default(),
-    );
+    let fig4 = quick_digest(&contention::Fig4Contention, 2, &[]);
     profile::set_enabled(false);
-    assert_eq!(artifact_digest(&fig4), GOLDEN_FIG4_CONTENTION_QUICK_SEED0);
+    assert_eq!(fig4, GOLDEN_FIG4_CONTENTION_QUICK_SEED0);
     let snap = profile::snapshot();
     assert!(
         !snap.is_empty() && snap.total_ns() > 0,

@@ -1,5 +1,6 @@
-//! The shared experiment CLI and the `run_main` entry point every
-//! figure/table binary delegates to.
+//! The shared experiment CLI and [`run_main`], the whole `main` of the
+//! `ragnar` binary: `ragnar <experiment> [flags]` looks the experiment
+//! up in a registry ([`dispatch`]) and runs it ([`run_with_cli`]).
 //!
 //! All experiments understand the same flags:
 //!
@@ -127,13 +128,19 @@ pub struct Cli {
     read: ReadMarks,
 }
 
-/// One mark per extra, set when a query reads it. A lock rather than a
-/// `Cell` keeps `Cli` `Sync`.
+/// One mark per extra, set when a query reads it, and the first bad
+/// value a query met. A lock rather than a `Cell` keeps `Cli` `Sync`.
 #[derive(Debug, Default)]
-struct ReadMarks(Mutex<Vec<bool>>);
+struct ReadMarks(Mutex<Marks>);
+
+#[derive(Debug, Default, Clone)]
+struct Marks {
+    read: Vec<bool>,
+    error: Option<String>,
+}
 
 impl ReadMarks {
-    fn lock(&self) -> MutexGuard<'_, Vec<bool>> {
+    fn lock(&self) -> MutexGuard<'_, Marks> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -174,12 +181,7 @@ impl Default for Cli {
 pub struct CliError(pub String);
 
 impl Cli {
-    /// Parses from the process arguments.
-    pub fn parse_env() -> Result<Cli, CliError> {
-        Cli::parse(std::env::args().skip(1))
-    }
-
-    /// Parses from an explicit argument list (tests).
+    /// Parses the arguments that follow the experiment name.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
         let mut cli = Cli::default();
         let mut it = args.into_iter();
@@ -242,17 +244,27 @@ impl Cli {
         self.mark_read(name, false).is_some()
     }
 
-    /// The value of an experiment-specific `--name <u64>` option.
+    /// The value of an experiment-specific `--name <u64>` option. A
+    /// missing or non-integer value reads as `None` here, and
+    /// [`run_with_cli`] fails with it.
     pub fn option_u64(&self, name: &str) -> Option<u64> {
         let pos = self.mark_read(name, true)?;
-        self.extras.get(pos + 1)?.parse().ok()
+        let raw = self.extras.get(pos + 1);
+        let value = raw.and_then(|raw| raw.parse().ok());
+        if value.is_none() {
+            self.read.lock().error.get_or_insert(match raw {
+                Some(raw) => format!("{name} needs an integer, got '{raw}'"),
+                None => format!("{name} needs a value"),
+            });
+        }
+        value
     }
 
     /// Marks every occurrence of `name` among the extras as read, plus
     /// the argument after each one when it takes a value. Returns the
     /// position of the first occurrence.
     fn mark_read(&self, name: &str, takes_value: bool) -> Option<usize> {
-        let mut read = self.read.lock();
+        let read = &mut self.read.lock().read;
         read.resize(self.extras.len(), false);
         let mut first = None;
         for (i, arg) in self.extras.iter().enumerate() {
@@ -267,7 +279,7 @@ impl Cli {
 
     /// The extras no query has read, in command-line order.
     fn unread_extras(&self) -> Vec<&str> {
-        let read = self.read.lock();
+        let read = &self.read.lock().read;
         self.extras
             .iter()
             .enumerate()
@@ -298,7 +310,7 @@ fn take_u64(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, Cl
 fn usage(exp: &dyn Experiment) -> String {
     format!(
         "{name} — {desc}\n\n\
-         usage: {name} [--seed <u64>] [--threads <n>] [--quick]\n\
+         usage: ragnar {name} [--seed <u64>] [--threads <n>] [--quick]\n\
          {pad}   [--force] [--no-cache]\n\
          {pad}   [--results <dir>] [--chaos-seed <u64>] [--chaos-plan <file>]\n\
          {pad}   [--topology <spec>] [--trace <path>] [--trace-filter <targets>]\n\
@@ -310,38 +322,87 @@ fn usage(exp: &dyn Experiment) -> String {
          see EXPERIMENTS.md for the per-experiment flags and cache-key scheme.",
         name = exp.name(),
         desc = exp.description(),
-        pad = " ".repeat(exp.name().len() + 7),
+        pad = " ".repeat(exp.name().len() + 14),
     )
 }
 
-/// Runs `exp` end to end: parse CLI → build params → execute through the
-/// cache → summarize → persist the manifest. This is the whole `main` of
-/// every experiment binary.
-pub fn run_main(exp: &dyn Experiment) -> ExitCode {
-    let cli = match Cli::parse_env() {
-        Ok(cli) => cli,
-        Err(CliError(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!("{}", usage(exp));
-            return ExitCode::FAILURE;
-        }
-    };
-    if cli.flag("--help") || cli.flag("-h") {
-        println!("{}", usage(exp));
-        return ExitCode::SUCCESS;
+/// The top-level usage: the synopsis and every registered experiment.
+fn registry_usage(registry: &[&dyn Experiment]) -> String {
+    let width = registry.iter().map(|e| e.name().len()).max().unwrap_or(0);
+    let mut text = String::from(
+        "usage: ragnar <experiment> [flags]\n\
+         `ragnar <experiment> --help` lists an experiment's flags.\n\n\
+         experiments:",
+    );
+    for exp in registry {
+        text += &format!("\n  {:width$}  {}", exp.name(), exp.description());
     }
-    match run_with_cli(exp, &cli) {
+    text
+}
+
+/// What a `ragnar` command line asks for.
+pub enum Command<'r> {
+    /// Run this experiment under these flags.
+    Run(&'r dyn Experiment, Box<Cli>),
+    /// Print this usage and exit with success (`--help`).
+    Help(String),
+}
+
+/// Resolves `ragnar <experiment> [flags]` (the arguments after the
+/// program name) against `registry`: the first argument names the
+/// experiment and the rest parse as its [`Cli`]. The error is the whole
+/// message for stderr, usage included.
+pub fn dispatch<'r>(
+    registry: &[&'r dyn Experiment],
+    args: impl IntoIterator<Item = String>,
+) -> Result<Command<'r>, String> {
+    let mut args = args.into_iter();
+    let Some(name) = args.next() else {
+        return Err(registry_usage(registry));
+    };
+    if name == "--help" || name == "-h" {
+        return Ok(Command::Help(registry_usage(registry)));
+    }
+    let Some(&exp) = registry.iter().find(|e| e.name() == name) else {
+        let why = if name.starts_with('-') {
+            format!(
+                "'{name}' is a flag; the experiment name comes first: ragnar <experiment> {name}"
+            )
+        } else {
+            format!("unknown experiment '{name}'")
+        };
+        return Err(format!("error: {why}\n\n{}", registry_usage(registry)));
+    };
+    let cli = Cli::parse(args).map_err(|CliError(msg)| format!("error: {msg}\n{}", usage(exp)))?;
+    if cli.flag("--help") || cli.flag("-h") {
+        return Ok(Command::Help(usage(exp)));
+    }
+    Ok(Command::Run(exp, Box::new(cli)))
+}
+
+/// The whole `main` of the `ragnar` binary: [`dispatch`] the process
+/// arguments against `registry`, then [`run_with_cli`].
+pub fn run_main(registry: &[&dyn Experiment]) -> ExitCode {
+    let failed = match dispatch(registry, std::env::args().skip(1)) {
+        Ok(Command::Run(exp, cli)) => run_with_cli(exp, &cli).map_err(|e| format!("error: {e}")),
+        Ok(Command::Help(usage)) => {
+            println!("{usage}");
+            Ok(0)
+        }
+        Err(message) => Err(message),
+    };
+    match failed {
         Ok(0) => ExitCode::SUCCESS,
         Ok(_) => ExitCode::FAILURE,
         Err(message) => {
-            eprintln!("error: {message}");
+            eprintln!("{message}");
             ExitCode::FAILURE
         }
     }
 }
 
 /// Library-level entry: everything `run_main` does minus process
-/// concerns. Returns the number of failed configs. Used by binaries
+/// concerns. Returns the number of failed configs. Used by the binary
 /// (via [`run_main`]) and integration tests alike.
 pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
     // The profiler is process-wide (its registry aggregates across
@@ -369,6 +430,9 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
         ..cli.clone()
     };
     let mut configs = exp.params(&fresh);
+    if let Some(error) = fresh.read.lock().error.take() {
+        return Err(error);
+    }
     let unread = fresh.unread_extras();
     if !unread.is_empty() {
         return Err(format!(

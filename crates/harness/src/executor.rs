@@ -351,7 +351,7 @@ fn run_cell<'scope, 'env: 'scope>(
             telemetry,
             repro: repro.then(|| {
                 format!(
-                    "{} --seed {} --force --only \"{}\"",
+                    "ragnar {} --seed {} --force --only \"{}\"",
                     exp.name(),
                     ctx.master_seed,
                     config.label()

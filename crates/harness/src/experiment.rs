@@ -107,8 +107,7 @@ impl Config {
 /// structured metrics.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Artifact {
-    /// Human-readable output for this config (what the figure binaries
-    /// used to print).
+    /// Human-readable output for this config.
     pub rendered: String,
     /// Structured measurements, for programmatic consumers and tests.
     pub metrics: Value,
@@ -224,7 +223,7 @@ pub struct RunRecord {
 /// the executor's worker threads with distinct configs.
 pub trait Experiment: Sync {
     /// Stable experiment name; doubles as the `results/<name>/` cache
-    /// namespace and the CLI binary identity.
+    /// namespace and the name `ragnar <name>` runs it by.
     fn name(&self) -> &'static str;
 
     /// One-line description shown by `--help`.

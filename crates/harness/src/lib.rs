@@ -1,8 +1,7 @@
 //! # ragnar-harness — the experiment-orchestration runtime
 //!
 //! Every figure and table of the Ragnar reproduction runs through this
-//! crate. It provides, in one place, what the ~20 ad-hoc bench binaries
-//! used to each hand-roll:
+//! crate. It provides, in one place:
 //!
 //! * [`Experiment`] — the trait an experiment implements: a name, a
 //!   parameter space ([`Experiment::params`]) and a per-config
@@ -25,10 +24,11 @@
 //!   per-tenant SLO rows, supervision summary and — under `--profile` —
 //!   the engine phase breakdown.
 //! * [`cli`] — the shared command line (`--seed`, `--threads`,
-//!   `--quick`, `--force`, …) and [`run_main`], the entire `main` of an
-//!   experiment binary.
+//!   `--quick`, `--force`, …), [`dispatch`] of `<experiment> [flags]`
+//!   against a registry, and [`run_main`], the entire `main` of a
+//!   binary that serves that registry.
 //!
-//! A minimal experiment binary is three lines:
+//! A minimal binary serving one experiment (`<binary> demo --seed 1`):
 //!
 //! ```no_run
 //! use ragnar_harness::{run_main, Artifact, Cli, Config, Experiment};
@@ -45,7 +45,7 @@
 //!     }
 //! }
 //!
-//! fn main() -> std::process::ExitCode { run_main(&Demo) }
+//! fn main() -> std::process::ExitCode { run_main(&[&Demo]) }
 //! ```
 
 #![warn(missing_docs)]
@@ -60,7 +60,7 @@ pub mod report;
 pub mod value;
 
 pub use cache::ResultStore;
-pub use cli::{run_main, run_with_cli, Cli};
+pub use cli::{dispatch, run_main, run_with_cli, Cli, Command};
 pub use executor::{config_seed, ExecOptions, TelemetrySpec};
 pub use experiment::{Artifact, Config, Experiment, Outcome, RunRecord};
 pub use manifest::Manifest;

@@ -1,13 +1,15 @@
 //! End-to-end harness guarantees, exercised through the public API the
-//! experiment binaries use ([`run_with_cli`]): cache hits and misses,
+//! `ragnar` binary uses ([`dispatch`], [`run_with_cli`]): cache hits and misses,
 //! resume after an interrupted sweep, and thread-count-independent
 //! determinism.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use ragnar_harness::executor::execute;
 use ragnar_harness::{
-    run_with_cli, Artifact, Cli, Config, Experiment, Manifest, ResultStore, Value,
+    dispatch, run_with_cli, Artifact, Cli, Command, Config, Experiment, Manifest, ResultStore,
+    Value,
 };
 
 /// A sweep whose executions are observable: every real (non-cached) run
@@ -384,7 +386,10 @@ fn failing_cell_runs_once_and_carries_a_repro() {
         .get("repro")
         .and_then(Value::as_str)
         .expect("repro present");
-    assert!(repro.contains("--only \"cell=1\""), "got: {repro}");
+    assert_eq!(
+        repro,
+        "ragnar harness_itest_failing --seed 0 --force --only \"cell=1\""
+    );
     // Per-cell keys: no attempt count or retry verdict, and a repro
     // only on the failed cell.
     let keys = |cell: &Value| match cell {
@@ -402,6 +407,63 @@ fn failing_cell_runs_once_and_carries_a_repro() {
     assert_eq!(keys(&cells[0]), common);
     assert_eq!(keys(&cells[1]), [&common[..], &["repro"]].concat());
     let _ = std::fs::remove_dir_all(&results);
+}
+
+/// A failed cell's repro, split into words as a shell splits it,
+/// dispatches to the same experiment and seed and reruns that cell alone.
+#[test]
+fn repro_command_dispatches_to_exactly_the_failed_cell() {
+    struct Labelled(AtomicUsize);
+    impl Experiment for Labelled {
+        fn name(&self) -> &'static str {
+            "harness_itest_repro"
+        }
+        fn params(&self, _cli: &Cli) -> Vec<Config> {
+            // Labels with a space, and "cell=1" inside cells 10 and 11.
+            let cell = |i: u64| Config::new().with("cell", i).with("mode", "fast");
+            (0..12).map(cell).collect()
+        }
+        fn run(&self, config: &Config, _seed: u64) -> Result<Artifact, String> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            match config.u64("cell") {
+                Some(1) => Err("bad cell".to_string()),
+                _ => Ok(Artifact::text("ok\n")),
+            }
+        }
+    }
+    let exp = Labelled(AtomicUsize::new(0));
+    let records = execute(
+        &exp,
+        &exp.params(&Cli::default()),
+        7,
+        None,
+        &Default::default(),
+    );
+    let repro = records.iter().find_map(|r| r.repro.clone()).expect("repro");
+    assert_eq!(exp.0.swap(0, Ordering::SeqCst), 12);
+
+    // Outside quotes split on spaces; a quoted part is one word.
+    let words: Vec<String> = (repro.split('"').enumerate())
+        .flat_map(|(i, part)| match i % 2 {
+            0 => part.split_whitespace().map(String::from).collect(),
+            _ => vec![part.to_string()],
+        })
+        .collect();
+    assert_eq!(words[0], "ragnar", "{repro}");
+    let decoy = Counted::new(1);
+    let registry: [&dyn Experiment; 2] = [&decoy, &exp];
+    let Ok(Command::Run(found, mut cli)) = dispatch(&registry, words[1..].to_vec()) else {
+        panic!("{repro} does not dispatch to a run");
+    };
+    assert_eq!((found.name(), cli.seed), ("harness_itest_repro", 7));
+    assert_eq!(cli.only.as_deref(), Some("cell=1 mode=fast"));
+    cli.no_cache = true;
+    assert_eq!(
+        run_with_cli(found, &cli),
+        Ok(1),
+        "the failed cell fails again"
+    );
+    assert_eq!(exp.0.load(Ordering::SeqCst), 1, "and runs alone");
 }
 
 #[test]
