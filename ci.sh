@@ -42,6 +42,25 @@ done
 # captured results/ nor a fixed /tmp path is overwritten.
 smoke_results=$(mktemp -d)
 
+echo "== stale-cache smoke: a warm store serves only the build that wrote it"
+# The manifest line's config count and cached count.
+configs() { printf '%s\n' "$1" | sed -n 's/^\[[^]]*\] \([0-9]*\) configs .*/\1/p'; }
+cached() { printf '%s\n' "$1" | sed -n 's/.* \([0-9]*\) cached .*/\1/p'; }
+stale_results="$smoke_results/stale"
+cold_out=$("$ragnar" fig5_mr_uli --quick --results "$stale_results")
+warm_out=$("$ragnar" fig5_mr_uli --quick --results "$stale_results")
+test -n "$(configs "$warm_out")"
+test "$(cached "$warm_out")" = "$(configs "$warm_out")"
+# A copy with one byte appended is another build: every cell misses,
+# and the artifacts it recomputes are the same.
+ragnar_copy="$smoke_results/ragnar-copy"
+cp "$ragnar" "$ragnar_copy"
+printf x >> "$ragnar_copy"
+other_out=$("$ragnar_copy" fig5_mr_uli --quick --results "$stale_results")
+test "$(cached "$other_out")" = 0
+test "$(digest "$other_out")" = "$(digest "$cold_out")"
+test "$(digest "$warm_out")" = "$(digest "$cold_out")"
+
 echo "== trace smoke: fig4_contention --trace emits valid JSON, digest unchanged"
 trace_file="$smoke_results/trace.json"
 trace_out=$("$ragnar" fig4_contention --quick --no-cache --trace "$trace_file")
@@ -93,7 +112,7 @@ test "$(digest "$prof_out")" = "$baseline_digest"
 printf '%s\n' "$prof_out" | grep -q '^profile: '
 
 echo "== run-report smoke: report.json / report.md carry the documented shape"
-"$ragnar" fig4_contention --quick --force --metrics --profile \
+"$ragnar" fig4_contention --quick --metrics --profile \
     --results "$smoke_results" > /dev/null
 smoke_report="$smoke_results/fig4_contention/report.json"
 test -s "$smoke_report"

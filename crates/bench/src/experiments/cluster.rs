@@ -152,12 +152,6 @@ impl Experiment for NoisyNeighbor {
         "victim p99 latency vs. attacker QP count on a leaf-spine fabric (--full widens the sweep)"
     }
 
-    fn version(&self) -> u32 {
-        // v2: attackers incast one shared sink instead of per-host
-        // partners, moving the congestion onto switch egress queues.
-        2
-    }
-
     fn params(&self, cli: &Cli) -> Vec<Config> {
         let mut sweeps: Vec<(u64, bool)> = vec![(0, false), (16, false), (64, false), (64, true)];
         if cli.flag("--full") {

@@ -12,7 +12,7 @@ pub fn quick_cli(extras: &[&str]) -> Cli {
     Cli::parse(args).expect("cli parses")
 }
 
-/// Runs the experiment's quick sweep (no cache, forced) on `threads`
+/// Runs the experiment's quick sweep (no cache) on `threads`
 /// workers under `telemetry`, and returns the records in config order.
 pub fn run_quick(
     exp: &dyn Experiment,
@@ -29,7 +29,6 @@ pub fn run_quick(
         None,
         &ExecOptions {
             threads,
-            force: true,
             telemetry,
             ..Default::default()
         },

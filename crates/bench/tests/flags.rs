@@ -84,3 +84,24 @@ fn malformed_bits_values_are_errors() {
         }
     }
 }
+
+/// `--bits` given twice is an error, whatever the second value: no run
+/// silently takes the first one.
+#[test]
+fn repeated_bits_are_errors() {
+    let exps: [&dyn Experiment; 2] = [&covert::Table5Covert, &cluster::BankruptCovert];
+    for exp in exps {
+        for bits in [
+            ["--bits", "8", "--bits", "9"],
+            ["--bits", "8", "--bits", "abc"],
+        ] {
+            let args = [&["--no-cache", "--only", "no-such-label"][..], &bits[..]].concat();
+            let err = run_with_cli(exp, &cli(&args)).expect_err("repeated --bits");
+            assert!(
+                err.contains("--bits given more than once"),
+                "{} {args:?} -> {err}",
+                exp.name()
+            );
+        }
+    }
+}

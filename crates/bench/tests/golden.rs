@@ -12,14 +12,14 @@
 //!
 //! If a digest changes because the *experiment itself* legitimately
 //! changed, re-pin it by running the test and copying the digest from
-//! the failure message — and bump `sim_core::ENGINE_VERSION` (or the
-//! experiment's `version()`) so stale caches are invalidated. The
-//! workflow is documented in EXPERIMENTS.md.
+//! the failure message. Nothing needs bumping for the result cache: its
+//! keys carry the build fingerprint, so the rebuilt binary never reads
+//! the old entries. The workflow is documented in EXPERIMENTS.md.
 
 mod common;
 
 use common::quick_digest;
-use ragnar_bench::experiments::{contention, covert, uli};
+use ragnar_bench::experiments::{contention, covert, side, uli};
 use ragnar_harness::Experiment;
 
 /// Asserts the digest is pinned AND thread-count invariant.
@@ -78,6 +78,26 @@ fn pythia_compare_quick_digest_pinned() {
     );
 }
 
+#[test]
+fn fig12_fingerprint_quick_digest_pinned() {
+    assert_golden(
+        &side::Fig12Fingerprint,
+        &[],
+        GOLDEN_FIG12_FINGERPRINT_QUICK_SEED0,
+    );
+}
+
+#[test]
+fn fig13_classifier_quick_digest_pinned() {
+    // The one experiment whose quick sweep is smaller than its full one
+    // (fewer and shorter training traces).
+    assert_golden(
+        &side::Fig13Classifier,
+        &[],
+        GOLDEN_FIG13_CLASSIFIER_QUICK_SEED0,
+    );
+}
+
 /// Pinned digests, captured at master seed 0 with the ReferenceQueue
 /// backend (pre-calendar engine) and identical under the calendar
 /// queue.
@@ -85,3 +105,7 @@ const GOLDEN_FIG4_CONTENTION_QUICK_SEED0: &str = "1b17dd9b64584f994538ce521501af
 const GOLDEN_FIG5_MR_ULI_QUICK_SEED0: &str = "26562aed89784d7becfe780cf259eb7a";
 const GOLDEN_TABLE5_COVERT_QUICK_SEED0: &str = "bc6d71c0b219cde00862d55fa1ce7590";
 const GOLDEN_PYTHIA_COMPARE_QUICK_SEED0: &str = "8a2c7bc85effc47805c984b8ab52a9e0";
+/// Captured under the calendar queue, with the published Fig 12 and
+/// Fig 13 quick numbers corrected to what these artifacts print.
+const GOLDEN_FIG12_FINGERPRINT_QUICK_SEED0: &str = "e0d6979965bd3b7fea9bceffe0bbef14";
+const GOLDEN_FIG13_CLASSIFIER_QUICK_SEED0: &str = "2923c5ff5530be8c383713ed602eb558";

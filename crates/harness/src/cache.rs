@@ -2,11 +2,12 @@
 //!
 //! Every completed config writes one JSON file
 //! `results/<experiment>/cells/<cache-key>.json` holding the config,
-//! seed, versions and artifact. Because the file name is a hash of
-//! everything that determines the result, re-running a sweep turns
-//! already-computed cells into cache hits, and an interrupted sweep
-//! resumes from whatever finished — writes go through a temp file +
-//! rename so a kill mid-write never leaves a corrupt entry behind.
+//! seed and artifact. Because the file name is a hash of everything
+//! that determines the result, the build fingerprint among it (see
+//! [`crate::hash`]), re-running a sweep turns already-computed cells
+//! into cache hits, and an interrupted sweep resumes from whatever
+//! finished — writes go through a temp file + rename so a kill
+//! mid-write never leaves a corrupt entry behind.
 
 use std::fs;
 use std::io;
@@ -16,28 +17,8 @@ use crate::experiment::{Artifact, Config};
 use crate::hash::content_hash;
 use crate::value::Value;
 
-/// On-disk layout version; part of every cache key, so bumping it
-/// invalidates all previous entries at once. v2 added the whole-entry
-/// checksum trailer.
-pub const FORMAT_VERSION: u32 = 2;
-
 /// Trailer separating the JSON body from its whole-entry checksum.
 const CHECKSUM_TRAILER: &str = "\nchecksum=";
-
-/// A deserialized cache entry.
-#[derive(Debug, Clone)]
-pub struct StoredRun {
-    /// The config that produced the artifact.
-    pub config: Config,
-    /// The seed it ran with.
-    pub seed: u64,
-    /// The artifact itself.
-    pub artifact: Artifact,
-    /// Hash of the artifact's canonical encoding.
-    pub artifact_hash: String,
-    /// Wall time of the original (non-cached) run, in ms.
-    pub elapsed_ms: f64,
-}
 
 /// A per-experiment content-addressed artifact store.
 #[derive(Debug, Clone)]
@@ -66,17 +47,17 @@ impl ResultStore {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Loads the entry for `key`, if present and well-formed. A corrupt
-    /// entry (interrupted write on a non-atomic filesystem, manual
-    /// editing, bit rot) is treated as a miss, not an error: the cell
-    /// simply re-runs.
+    /// Loads the artifact stored under `key`, if present and intact. A
+    /// corrupt entry (interrupted write on a non-atomic filesystem,
+    /// manual editing, bit rot) is treated as a miss, not an error: the
+    /// cell simply re-runs.
     ///
     /// Two independent integrity layers must both pass: the whole-entry
     /// checksum trailer (catches any byte damage, including to metadata
     /// fields the artifact hash does not cover) and the recorded
     /// artifact hash (catches a substituted artifact with a consistently
     /// rewritten trailer).
-    pub fn load(&self, key: &str) -> Option<StoredRun> {
+    pub fn load(&self, key: &str) -> Option<Artifact> {
         let text = fs::read_to_string(self.path_for(key)).ok()?;
         let (body, checksum) = text.rsplit_once(CHECKSUM_TRAILER)?;
         if content_hash(body.as_bytes()) != checksum.trim_end() {
@@ -84,20 +65,13 @@ impl ResultStore {
         }
         let v = Value::parse(body).ok()?;
         let artifact_value = v.get("artifact")?;
-        let artifact = Artifact::from_value(artifact_value)?;
         let artifact_hash = content_hash(artifact_value.encode().as_bytes());
         // Refuse entries whose recorded hash no longer matches the
         // content — a truncated or tampered file must re-run.
         if v.get("artifact_hash")?.as_str()? != artifact_hash {
             return None;
         }
-        Some(StoredRun {
-            config: Config::from_value(v.get("config")?)?,
-            seed: v.get("seed")?.as_i64()? as u64,
-            artifact,
-            artifact_hash,
-            elapsed_ms: v.get("elapsed_ms")?.as_f64()?,
-        })
+        Artifact::from_value(artifact_value)
     }
 
     /// Persists one completed config atomically and returns the
@@ -107,7 +81,6 @@ impl ResultStore {
         key: &str,
         config: &Config,
         seed: u64,
-        experiment_version: u32,
         artifact: &Artifact,
         elapsed_ms: f64,
     ) -> io::Result<String> {
@@ -116,9 +89,6 @@ impl ResultStore {
         let mut entry = Value::object();
         entry.set("key", key);
         entry.set("experiment", self.experiment.as_str());
-        entry.set("experiment_version", experiment_version);
-        entry.set("engine_version", sim_core::ENGINE_VERSION);
-        entry.set("format_version", FORMAT_VERSION);
         entry.set("config", Value::Object(config.entries().to_vec()));
         entry.set("seed", seed);
         entry.set("elapsed_ms", elapsed_ms);
@@ -185,11 +155,8 @@ mod tests {
         assert!(store.is_empty());
         let cfg = Config::new().with("x", 3u64);
         let art = Artifact::text("hello\n").with_metric("v", 3u64);
-        store.store("k1", &cfg, 9, 1, &art, 1.5).expect("store");
-        let hit = store.load("k1").expect("hit");
-        assert_eq!(hit.artifact, art);
-        assert_eq!(hit.seed, 9);
-        assert_eq!(hit.config, cfg);
+        store.store("k1", &cfg, 9, &art, 1.5).expect("store");
+        assert_eq!(store.load("k1"), Some(art));
         assert!(store.load("k2").is_none());
         // Metrics sidecars land next to the cell but are not entries.
         assert_eq!(store.len(), 1);
@@ -207,7 +174,7 @@ mod tests {
         let store = ResultStore::open(&root, "unit").expect("open");
         let cfg = Config::new();
         let art = Artifact::text("hello");
-        store.store("k1", &cfg, 0, 1, &art, 0.1).expect("store");
+        store.store("k1", &cfg, 0, &art, 0.1).expect("store");
         // Truncate the file mid-entry, as an interrupted write would.
         let path = store.dir().join("k1.json");
         let text = fs::read_to_string(&path).expect("read");
@@ -228,7 +195,7 @@ mod tests {
         let store = ResultStore::open(&root, "unit").expect("open");
         let cfg = Config::new().with("x", 7u64).with("label", "fuzz-cell");
         let art = Artifact::text("rendered body\n").with_metric("bps", 63_600u64);
-        store.store("k1", &cfg, 7, 1, &art, 2.0).expect("store");
+        store.store("k1", &cfg, 7, &art, 2.0).expect("store");
         let path = store.dir().join("k1.json");
         let pristine = fs::read(&path).expect("read");
         assert!(store.load("k1").is_some(), "pristine entry must hit");
@@ -250,7 +217,7 @@ mod tests {
                 // checksum legitimately cannot see because the decoded
                 // content is unchanged — there are none for this layout,
                 // so any hit must at least carry the original artifact.
-                assert_eq!(hit.artifact, art, "bit flip at byte {i} served damage");
+                assert_eq!(hit, art, "bit flip at byte {i} served damage");
             }
         }
 

@@ -8,7 +8,6 @@
 //! --seed <u64>      master seed (default 0; every config derives its own)
 //! --threads <n>     worker threads (default: available parallelism)
 //! --quick           smaller parameter space, where the experiment has one
-//! --force           recompute every config, ignoring the result cache
 //! --no-cache        neither read nor write the result cache
 //! --results <dir>   result-store root (default ./results)
 //! --chaos-seed <u64>  generate + install a seeded fault plan (changes
@@ -78,8 +77,6 @@ pub struct Cli {
     pub threads: usize,
     /// Reduced parameter space (`--quick`).
     pub quick: bool,
-    /// Ignore cache hits and recompute (`--force`).
-    pub force: bool,
     /// Disable the result store entirely (`--no-cache`).
     pub no_cache: bool,
     /// Result-store root (`--results`, default `results`).
@@ -157,7 +154,6 @@ impl Default for Cli {
             seed: 0,
             threads: executor::default_threads(),
             quick: false,
-            force: false,
             no_cache: false,
             results_dir: PathBuf::from("results"),
             chaos_seed: None,
@@ -192,7 +188,6 @@ impl Cli {
                     cli.threads = take_u64(&mut it, "--threads")?.clamp(1, 4096) as usize;
                 }
                 "--quick" => cli.quick = true,
-                "--force" => cli.force = true,
                 "--no-cache" => cli.no_cache = true,
                 "--results" => {
                     cli.results_dir = PathBuf::from(take_value(&mut it, "--results")?);
@@ -241,18 +236,21 @@ impl Cli {
 
     /// Whether an experiment-specific boolean switch was passed.
     pub fn flag(&self, name: &str) -> bool {
-        self.mark_read(name, false).is_some()
+        !self.mark_read(name, false).is_empty()
     }
 
     /// The value of an experiment-specific `--name <u64>` option. A
-    /// missing or non-integer value reads as `None` here, and
+    /// missing, non-integer or repeated value reads as `None` here, and
     /// [`run_with_cli`] fails with it.
     pub fn option_u64(&self, name: &str) -> Option<u64> {
-        let pos = self.mark_read(name, true)?;
-        let raw = self.extras.get(pos + 1);
-        let value = raw.and_then(|raw| raw.parse().ok());
+        let at = self.mark_read(name, true);
+        let raw = self.extras.get(at.first()? + 1);
+        let value = raw
+            .and_then(|raw| raw.parse().ok())
+            .filter(|_| at.len() == 1);
         if value.is_none() {
             self.read.lock().error.get_or_insert(match raw {
+                _ if at.len() > 1 => format!("{name} given more than once"),
                 Some(raw) => format!("{name} needs an integer, got '{raw}'"),
                 None => format!("{name} needs a value"),
             });
@@ -262,19 +260,18 @@ impl Cli {
 
     /// Marks every occurrence of `name` among the extras as read, plus
     /// the argument after each one when it takes a value. Returns the
-    /// position of the first occurrence.
-    fn mark_read(&self, name: &str, takes_value: bool) -> Option<usize> {
+    /// positions of the occurrences.
+    fn mark_read(&self, name: &str, takes_value: bool) -> Vec<usize> {
         let read = &mut self.read.lock().read;
         read.resize(self.extras.len(), false);
-        let mut first = None;
-        for (i, arg) in self.extras.iter().enumerate() {
-            if arg == name {
-                first.get_or_insert(i);
-                let end = if takes_value { i + 2 } else { i + 1 };
-                read[i..end.min(self.extras.len())].fill(true);
-            }
+        let at: Vec<usize> = (0..self.extras.len())
+            .filter(|&i| self.extras[i] == name)
+            .collect();
+        for &i in &at {
+            let end = if takes_value { i + 2 } else { i + 1 };
+            read[i..end.min(self.extras.len())].fill(true);
         }
-        first
+        at
     }
 
     /// The extras no query has read, in command-line order.
@@ -311,8 +308,8 @@ fn usage(exp: &dyn Experiment) -> String {
     format!(
         "{name} — {desc}\n\n\
          usage: ragnar {name} [--seed <u64>] [--threads <n>] [--quick]\n\
-         {pad}   [--force] [--no-cache]\n\
-         {pad}   [--results <dir>] [--chaos-seed <u64>] [--chaos-plan <file>]\n\
+         {pad}   [--no-cache] [--results <dir>]\n\
+         {pad}   [--chaos-seed <u64>] [--chaos-plan <file>]\n\
          {pad}   [--topology <spec>] [--trace <path>] [--trace-filter <targets>]\n\
          {pad}   [--metrics] [--profile] [--cell-timeout <ms>]\n\
          {pad}   [--monitors <log|fail-cell|abort-run>]\n\
@@ -478,7 +475,6 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
         store.as_ref(),
         &ExecOptions {
             threads: cli.threads,
-            force: cli.force,
             telemetry: TelemetrySpec {
                 trace: cli.trace.is_some(),
                 filter,
@@ -651,7 +647,7 @@ mod tests {
     fn defaults_and_flags() {
         let cli = parse(&[]);
         assert_eq!(cli.seed, 0);
-        assert!(!cli.quick && !cli.force && !cli.no_cache);
+        assert!(!cli.quick && !cli.no_cache);
         assert_eq!(cli.results_dir, PathBuf::from("results"));
         assert_eq!(cli.chaos_seed, None);
         assert_eq!(cli.chaos_plan, None);
@@ -663,7 +659,6 @@ mod tests {
             "--threads",
             "3",
             "--quick",
-            "--force",
             "--no-cache",
             "--results",
             "/tmp/r",
@@ -679,7 +674,7 @@ mod tests {
         ]);
         assert_eq!(cli.seed, 42);
         assert_eq!(cli.threads, 3);
-        assert!(cli.quick && cli.force && cli.no_cache);
+        assert!(cli.quick && cli.no_cache);
         assert_eq!(cli.results_dir, PathBuf::from("/tmp/r"));
         assert_eq!(cli.chaos_seed, Some(9));
         assert_eq!(cli.chaos_plan, Some(PathBuf::from("/tmp/plan.txt")));
@@ -784,6 +779,8 @@ mod tests {
         for (args, unread) in [
             (&["--bits", "8", "--retries", "1"][..], "--retries 1"),
             (&["stray", "--full"][..], "stray"),
+            // A removed shared flag is an unknown argument like any other.
+            (&["--force"][..], "--force"),
         ] {
             let cli = parse(&[&["--no-cache"][..], args].concat());
             let err = run_with_cli(&ExtrasReader, &cli).expect_err("unread argument");

@@ -118,8 +118,6 @@ impl TelemetrySpec {
 pub struct ExecOptions {
     /// Worker thread count (1 = run inline on the caller).
     pub threads: usize,
-    /// Recompute every config even when a cache entry matches.
-    pub force: bool,
     /// Per-cell observation. When it [observes](TelemetrySpec::observes)
     /// anything, cache reads are bypassed so every cell actually executes
     /// under its run context; cache writes still refresh the store, and
@@ -135,7 +133,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             threads: default_threads(),
-            force: false,
             telemetry: TelemetrySpec::default(),
             cell_timeout: None,
         }
@@ -184,6 +181,9 @@ struct SweepCtx<'env> {
     configs: &'env [Config],
     master_seed: u64,
     store: Option<&'env ResultStore>,
+    /// The build fingerprint cache keys carry; empty when there is no
+    /// store, since such keys are never looked up.
+    build: &'static str,
     opts: &'env ExecOptions,
     slots: Vec<Mutex<Option<RunRecord>>>,
     /// Index of the next config to hand out. `Relaxed` throughout: the
@@ -324,14 +324,7 @@ fn run_cell<'scope, 'env: 'scope>(
     let exp = ctx.exp;
     let opts = ctx.opts;
     let seed = config_seed(ctx.master_seed, exp.name(), config);
-    let key = hash::cache_key(
-        exp.name(),
-        &config.canonical(),
-        seed,
-        exp.version(),
-        sim_core::ENGINE_VERSION,
-        crate::cache::FORMAT_VERSION,
-    );
+    let key = hash::cache_key(exp.name(), &config.canonical(), seed, ctx.build);
     let t0 = Instant::now();
 
     let finish = |record: RunRecord| {
@@ -351,7 +344,7 @@ fn run_cell<'scope, 'env: 'scope>(
             telemetry,
             repro: repro.then(|| {
                 format!(
-                    "ragnar {} --seed {} --force --only \"{}\"",
+                    "ragnar {} --seed {} --no-cache --only \"{}\"",
                     exp.name(),
                     ctx.master_seed,
                     config.label()
@@ -367,9 +360,9 @@ fn run_cell<'scope, 'env: 'scope>(
         return;
     }
 
-    if !opts.force && !opts.telemetry.observes() {
+    if !opts.telemetry.observes() {
         if let Some(hit) = ctx.store.and_then(|s| s.load(&key)) {
-            finish(record(Outcome::Done(hit.artifact), true, None));
+            finish(record(Outcome::Done(hit), true, None));
             return;
         }
     }
@@ -382,7 +375,6 @@ fn run_cell<'scope, 'env: 'scope>(
                     &key,
                     config,
                     seed,
-                    exp.version(),
                     &artifact,
                     t0.elapsed().as_secs_f64() * 1e3,
                 );
@@ -450,7 +442,8 @@ fn work<'scope, 'env: 'scope>(ctx: &SweepCtx<'env>, scope: &'scope Scope<'scope,
 ///
 /// Records are returned in `configs` order regardless of scheduling.
 /// When `store` is `Some`, finished cells are persisted and matching
-/// cells are served from disk (unless `opts.force`).
+/// cells are served from disk, keyed on [`hash::build_fingerprint`];
+/// without a fingerprint the store is neither read nor written.
 pub fn execute(
     exp: &dyn Experiment,
     configs: &[Config],
@@ -459,6 +452,8 @@ pub fn execute(
     opts: &ExecOptions,
 ) -> Vec<RunRecord> {
     let threads = opts.threads.clamp(1, configs.len().max(1));
+    let build = store.and_then(|_| hash::build_fingerprint());
+    let store = store.filter(|_| build.is_some());
 
     // Panics inside `run` are part of normal sweep operation; the gate
     // hook silences them on exactly the supervised cell threads (see
@@ -470,6 +465,7 @@ pub fn execute(
         configs,
         master_seed,
         store,
+        build: build.unwrap_or_default(),
         opts,
         slots: configs.iter().map(|_| Mutex::new(None)).collect(),
         cursor: AtomicUsize::new(0),
@@ -736,7 +732,6 @@ mod tests {
                     metrics: true,
                     ..Default::default()
                 },
-                ..Default::default()
             },
         );
         assert!(matches!(records[2].outcome, Outcome::TimedOut { .. }));
@@ -777,7 +772,6 @@ mod tests {
                         trace: true,
                         ..Default::default()
                     },
-                    ..Default::default()
                 },
             );
             let cells: Vec<ragnar_telemetry::TraceCell<'_>> = records

@@ -231,12 +231,6 @@ pub trait Experiment: Sync {
         ""
     }
 
-    /// Version of the experiment's *code*. Bump when `run`'s logic
-    /// changes so stale cache entries stop matching.
-    fn version(&self) -> u32 {
-        1
-    }
-
     /// The parameter space to sweep for this invocation. `cli` carries
     /// the shared flags (`--quick`) plus experiment-specific ones
     /// (e.g. fig4's `--full`).

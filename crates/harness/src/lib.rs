@@ -14,8 +14,8 @@
 //!   than 2 s. Each cell runs once: it is a pure function of its config
 //!   and seed, so there is nothing a retry could change.
 //! * [`cache`] — a content-addressed result store under `results/`:
-//!   each cell is keyed by a hash of (experiment, config, seed, code
-//!   version), making re-runs incremental and interrupted sweeps
+//!   each cell is keyed by a hash of (experiment, config, seed, build
+//!   fingerprint), making re-runs incremental and interrupted sweeps
 //!   resumable.
 //! * [`manifest`] — a per-invocation run manifest (wall time, per-stage
 //!   timings, run/cached/failed counts, artifact digest).
@@ -24,7 +24,7 @@
 //!   per-tenant SLO rows, supervision summary and — under `--profile` —
 //!   the engine phase breakdown.
 //! * [`cli`] — the shared command line (`--seed`, `--threads`,
-//!   `--quick`, `--force`, …), [`dispatch`] of `<experiment> [flags]`
+//!   `--quick`, `--no-cache`, …), [`dispatch`] of `<experiment> [flags]`
 //!   against a registry, and [`run_main`], the entire `main` of a
 //!   binary that serves that registry.
 //!

@@ -310,7 +310,7 @@ mod tests {
     fn supervision_outcomes_are_counted_and_folded_into_the_digest() {
         let mut timed_out =
             with_outcome(record(1, "", false), Outcome::TimedOut { timeout_ms: 50 });
-        timed_out.repro = Some("unit --seed 1 --force --only \"i=1\"".to_string());
+        timed_out.repro = Some("unit --seed 1 --no-cache --only \"i=1\"".to_string());
         let records = vec![
             record(0, "x", false),
             timed_out,
@@ -347,7 +347,7 @@ mod tests {
         };
         assert_eq!(
             cells[1].get("repro").and_then(Value::as_str),
-            Some("unit --seed 1 --force --only \"i=1\"")
+            Some("unit --seed 1 --no-cache --only \"i=1\"")
         );
         assert_eq!(v.get("aborted").and_then(Value::as_bool), Some(true));
     }

@@ -7,6 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ragnar_harness::executor::execute;
+use ragnar_harness::hash::build_fingerprint;
 use ragnar_harness::{
     dispatch, run_with_cli, Artifact, Cli, Command, Config, Experiment, Manifest, ResultStore,
     Value,
@@ -18,7 +19,6 @@ use ragnar_harness::{
 struct Counted {
     cells: u64,
     runs: AtomicUsize,
-    version: u32,
 }
 
 impl Counted {
@@ -26,7 +26,6 @@ impl Counted {
         Counted {
             cells,
             runs: AtomicUsize::new(0),
-            version: 1,
         }
     }
 }
@@ -38,10 +37,6 @@ impl Experiment for Counted {
 
     fn description(&self) -> &'static str {
         "integration-test sweep"
-    }
-
-    fn version(&self) -> u32 {
-        self.version
     }
 
     fn params(&self, cli: &Cli) -> Vec<Config> {
@@ -134,7 +129,7 @@ fn monitored_sweep_executes_every_cell() {
 }
 
 #[test]
-fn cache_misses_on_config_seed_or_version_change() {
+fn cache_misses_on_config_or_seed_change() {
     let results = temp_results("cache-miss");
     let mut exp = Counted::new(4);
     run_with_cli(&exp, &cli(&results, 2, 7)).expect("seed 7");
@@ -150,18 +145,13 @@ fn cache_misses_on_config_seed_or_version_change() {
     assert_eq!(exp.runs.load(Ordering::SeqCst), 10, "4 cached + 2 new");
     assert_eq!(manifest_field(&results, "configs_cached"), 4);
 
-    // A code-version bump invalidates everything.
-    exp.version = 2;
-    run_with_cli(&exp, &cli(&results, 2, 7)).expect("bumped version");
-    assert_eq!(exp.runs.load(Ordering::SeqCst), 16);
-
     // --quick is just a smaller parameter space: its cells still hit.
     let mut quick = cli(&results, 2, 7);
     quick.quick = true;
     run_with_cli(&exp, &quick).expect("quick");
     assert_eq!(
         exp.runs.load(Ordering::SeqCst),
-        16,
+        10,
         "quick subset fully cached"
     );
     let _ = std::fs::remove_dir_all(&results);
@@ -185,12 +175,10 @@ fn interrupted_sweep_resumes_incrementally() {
             exp.name(),
             &config.canonical(),
             seed,
-            exp.version(),
-            sim_core::ENGINE_VERSION,
-            ragnar_harness::cache::FORMAT_VERSION,
+            build_fingerprint().expect("the test binary is readable"),
         );
         store
-            .store(&key, config, seed, exp.version(), &artifact, 0.5)
+            .store(&key, config, seed, &artifact, 0.5)
             .unwrap_or_else(|e| panic!("store cell {i}: {e}"));
     }
     let pre_runs = exp.runs.load(Ordering::SeqCst);
@@ -204,46 +192,38 @@ fn interrupted_sweep_resumes_incrementally() {
     let _ = std::fs::remove_dir_all(&results);
 }
 
+/// Cells persisted by another build (any other executable: changed
+/// experiment code, engine or store layout) are misses, never served as
+/// hits to this one.
 #[test]
-fn engine_version_bump_invalidates_heap_era_cells() {
-    // Regression test for the calendar-queue swap: results persisted
-    // under a previous simulation-engine generation (keys built with an
-    // older `ENGINE_VERSION`) must be treated as misses, never served as
-    // hits to the current engine.
-    let results = temp_results("engine-bump");
+fn cells_of_another_build_all_miss() {
+    let results = temp_results("another-build");
     let exp = Counted::new(4);
     let store = ResultStore::open(&results, exp.name()).expect("open store");
     let full = cli(&results, 1, 3);
     for config in &exp.params(&full) {
         let seed = ragnar_harness::config_seed(3, exp.name(), config);
         let artifact = exp.run(config, seed).expect("run");
-        // Key as the heap-era engine (version 1) would have computed it.
-        let stale_key = ragnar_harness::hash::cache_key(
-            exp.name(),
-            &config.canonical(),
-            seed,
-            exp.version(),
-            sim_core::ENGINE_VERSION - 1,
-            ragnar_harness::cache::FORMAT_VERSION,
-        );
+        let stale_key =
+            ragnar_harness::hash::cache_key(exp.name(), &config.canonical(), seed, "another-build");
         store
-            .store(&stale_key, config, seed, exp.version(), &artifact, 0.5)
+            .store(&stale_key, config, seed, &artifact, 0.5)
             .expect("store stale cell");
     }
     assert_eq!(exp.runs.load(Ordering::SeqCst), 4);
-    assert_eq!(store.len(), 4, "heap-era cells are on disk");
+    assert_eq!(store.len(), 4, "the other build's cells are on disk");
 
-    // The current engine must re-execute every cell.
-    run_with_cli(&exp, &full).expect("run under current engine");
+    // This build must re-execute every cell.
+    run_with_cli(&exp, &full).expect("run under this build");
     assert_eq!(
         exp.runs.load(Ordering::SeqCst),
         8,
-        "all heap-era cells must miss"
+        "all of the other build's cells must miss"
     );
     assert_eq!(manifest_field(&results, "configs_cached"), 0);
     assert_eq!(manifest_field(&results, "configs_executed"), 4);
 
-    // And the re-run persisted fresh cells under current-engine keys.
+    // And the re-run persisted fresh cells under this build's keys.
     run_with_cli(&exp, &full).expect("second run hits");
     assert_eq!(exp.runs.load(Ordering::SeqCst), 8);
     assert_eq!(manifest_field(&results, "configs_cached"), 4);
@@ -388,7 +368,7 @@ fn failing_cell_runs_once_and_carries_a_repro() {
         .expect("repro present");
     assert_eq!(
         repro,
-        "ragnar harness_itest_failing --seed 0 --force --only \"cell=1\""
+        "ragnar harness_itest_failing --seed 0 --no-cache --only \"cell=1\""
     );
     // Per-cell keys: no attempt count or retry verdict, and a repro
     // only on the failed cell.

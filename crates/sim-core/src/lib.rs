@@ -65,15 +65,6 @@ pub use supervise::{
 /// Aliases [`CalendarQueue`]; [`ReferenceQueue`] remains available as
 /// the ordering oracle for differential tests and A/B benchmarks.
 pub type EventQueue<E> = CalendarQueue<E>;
-
-/// Version of the event-core engine, threaded into harness cache keys.
-///
-/// Bump this whenever a change to the engine could alter event ordering
-/// or artifact bytes (it shouldn't — that is what the differential and
-/// golden tests pin — but cached results from before the change must
-/// still be treated as misses). History: 1 = global `BinaryHeap` event
-/// queue, 2 = hierarchical calendar queue.
-pub const ENGINE_VERSION: u32 = 2;
 pub use resource::{BankedResource, LinkResource, Reservation, ServiceResource};
 pub use rng::{derive_seed, SimRng};
 pub use stats::{
