@@ -98,6 +98,13 @@ fn fig13_classifier_quick_digest_pinned() {
     );
 }
 
+#[test]
+fn fig13_snoop_quick_digest_pinned() {
+    // Its traces are per-probe latencies, so a shift in the NIC
+    // pipeline's timing shows in its bytes.
+    assert_golden(&side::Fig13Snoop, &[], GOLDEN_FIG13_SNOOP_QUICK_SEED0);
+}
+
 /// Pinned digests, captured at master seed 0 with the ReferenceQueue
 /// backend (pre-calendar engine) and identical under the calendar
 /// queue.
@@ -109,3 +116,6 @@ const GOLDEN_PYTHIA_COMPARE_QUICK_SEED0: &str = "8a2c7bc85effc47805c984b8ab52a9e
 /// Fig 13 quick numbers corrected to what these artifacts print.
 const GOLDEN_FIG12_FINGERPRINT_QUICK_SEED0: &str = "e0d6979965bd3b7fea9bceffe0bbef14";
 const GOLDEN_FIG13_CLASSIFIER_QUICK_SEED0: &str = "2923c5ff5530be8c383713ed602eb558";
+/// Captured under the calendar queue, before ingress admission became
+/// one NIC step.
+const GOLDEN_FIG13_SNOOP_QUICK_SEED0: &str = "5ca88167e5c63169c4e17ce61b421948";

@@ -2,13 +2,24 @@
 //!
 //! Each simulated host owns one [`HostMemory`]; the verbs layer allocates
 //! MR backing store from it and applications observe RDMA'd data through
-//! it. Pages materialize on first touch so multi-gigabyte address spaces
-//! cost nothing until used.
+//! it. Pages materialize on the first non-zero write, so multi-gigabyte
+//! address spaces cost nothing until used.
+//!
+//! The NIC gathers payloads with [`HostMemory::read_bytes`]: a range no
+//! write ever touched becomes a shared view of a static zero block (no
+//! copy, no allocation), and a range that touches a written page is
+//! copied once, into the payload's own buffer.
 
+use bytes::{Bytes, BytesMut};
 use sim_core::FxHashMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+
+/// What every untouched range reads as. Payloads up to this length (64
+/// KiB, above every message the experiments send) view it in place;
+/// longer all-zero payloads are allocated like written ones.
+static ZEROS: [u8; 16 * PAGE_SIZE as usize] = [0; 16 * PAGE_SIZE as usize];
 
 /// Sparse host DRAM.
 ///
@@ -32,40 +43,53 @@ impl HostMemory {
         Self::default()
     }
 
-    fn page_mut(&mut self, page: u64) -> &mut [u8] {
-        self.pages
-            .entry(page)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    /// Writes `data` starting at virtual address `addr`. A zero chunk
+    /// bound for an absent page is skipped: the page already reads as
+    /// zero.
+    pub fn write(&mut self, addr: u64, data: &[u8]) {
+        for (page, in_page, offset, n) in chunks(addr, data.len()) {
+            let chunk = &data[offset..offset + n];
+            let dst = match self.pages.get_mut(&page) {
+                Some(p) => p,
+                None if chunk.iter().all(|&b| b == 0) => continue,
+                None => self
+                    .pages
+                    .entry(page)
+                    .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice()),
+            };
+            dst[in_page..in_page + n].copy_from_slice(chunk);
+        }
     }
 
-    /// Writes `data` starting at virtual address `addr`.
-    pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let va = addr + offset as u64;
-            let page = va >> PAGE_SHIFT;
-            let in_page = (va & (PAGE_SIZE - 1)) as usize;
-            let n = (PAGE_SIZE as usize - in_page).min(data.len() - offset);
-            self.page_mut(page)[in_page..in_page + n].copy_from_slice(&data[offset..offset + n]);
-            offset += n;
+    /// Copies whatever written pages `addr..addr + len` touches into
+    /// `out`, which must already read as zero.
+    fn fill(&self, addr: u64, out: &mut [u8]) {
+        for (page, in_page, offset, n) in chunks(addr, out.len()) {
+            if let Some(p) = self.pages.get(&page) {
+                out[offset..offset + n].copy_from_slice(&p[in_page..in_page + n]);
+            }
         }
     }
 
     /// Reads `len` bytes starting at `addr` (untouched pages read as zero).
     pub fn read(&self, addr: u64, len: u64) -> Vec<u8> {
         let mut out = vec![0u8; len as usize];
-        let mut offset = 0usize;
-        while offset < out.len() {
-            let va = addr + offset as u64;
-            let page = va >> PAGE_SHIFT;
-            let in_page = (va & (PAGE_SIZE - 1)) as usize;
-            let n = (PAGE_SIZE as usize - in_page).min(out.len() - offset);
-            if let Some(p) = self.pages.get(&page) {
-                out[offset..offset + n].copy_from_slice(&p[in_page..in_page + n]);
-            }
-            offset += n;
-        }
+        self.fill(addr, &mut out);
         out
+    }
+
+    /// Reads `len` bytes starting at `addr` as a payload. A range with no
+    /// written page is a view of [`ZEROS`] (no allocation); any other
+    /// range is copied once, into one allocation.
+    pub fn read_bytes(&self, addr: u64, len: u64) -> Bytes {
+        let len = len as usize;
+        let untouched = chunks(addr, len).all(|(page, ..)| !self.pages.contains_key(&page));
+        if untouched && len <= ZEROS.len() {
+            return Bytes::from_static(&ZEROS[..len]);
+        }
+        let mut out = BytesMut::zeroed(len);
+        self.fill(addr, &mut out);
+        out.freeze()
     }
 
     /// Reads a little-endian u64 at `addr`.
@@ -101,6 +125,23 @@ impl HostMemory {
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
+}
+
+/// Splits `addr..addr + len` at page boundaries into
+/// `(page, offset in page, offset in range, length)` chunks.
+fn chunks(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+    let mut offset = 0usize;
+    std::iter::from_fn(move || {
+        if offset >= len {
+            return None;
+        }
+        let va = addr + offset as u64;
+        let in_page = (va & (PAGE_SIZE - 1)) as usize;
+        let n = (PAGE_SIZE as usize - in_page).min(len - offset);
+        let chunk = (va >> PAGE_SHIFT, in_page, offset, n);
+        offset += n;
+        Some(chunk)
+    })
 }
 
 #[cfg(test)]
@@ -146,5 +187,56 @@ mod tests {
         assert_eq!(m.read_u64(0x40), 99);
         assert_eq!(m.compare_swap_u64(0x40, 10, 7), 99);
         assert_eq!(m.read_u64(0x40), 99, "failed CAS must not write");
+    }
+
+    #[test]
+    fn untouched_read_bytes_views_the_zero_block() {
+        let m = HostMemory::new();
+        let b = m.read_bytes(0xDEAD_0000, 3 * PAGE_SIZE);
+        assert_eq!(b.len(), 3 * PAGE_SIZE as usize);
+        assert!(b.iter().all(|&x| x == 0));
+        // No allocation: the payload points into the static block.
+        assert_eq!(b.as_ptr(), ZEROS.as_ptr());
+        assert_eq!(m.resident_pages(), 0);
+        // Past the block's length the zeros are allocated instead.
+        let long = m.read_bytes(0, ZEROS.len() as u64 + 1);
+        assert!(long.iter().all(|&x| x == 0));
+        assert_ne!(long.as_ptr(), ZEROS.as_ptr());
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn zero_write_to_an_absent_page_leaves_no_page() {
+        let mut m = HostMemory::new();
+        m.write(0x5000, &[0; 64]);
+        m.write_u64(0x9000, 0);
+        assert_eq!(m.resident_pages(), 0);
+        // A zero write into a present page still lands.
+        m.write_u64(0x5000, 7);
+        m.write_u64(0x5000, 0);
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.read_u64(0x5000), 0);
+    }
+
+    #[test]
+    fn zero_view_survives_a_later_write() {
+        let mut m = HostMemory::new();
+        let before = m.read_bytes(0x3000, 16);
+        m.write(0x3000, &[0xAB; 16]);
+        assert_eq!(&*before, &[0; 16]);
+        assert_eq!(&*m.read_bytes(0x3000, 16), &[0xAB; 16]);
+    }
+
+    #[test]
+    fn range_over_a_written_and_an_absent_page_reads_back() {
+        let mut m = HostMemory::new();
+        let data: Vec<u8> = (1..=8).collect();
+        m.write(PAGE_SIZE - 8, &data);
+        assert_eq!(m.resident_pages(), 1);
+        let b = m.read_bytes(PAGE_SIZE - 8, 24);
+        assert_eq!(&b[..8], &data[..]);
+        assert_eq!(&b[8..], &[0; 16]);
+        assert_eq!(m.read(PAGE_SIZE - 8, 24), b.to_vec());
+        assert_eq!(m.resident_pages(), 1);
     }
 }

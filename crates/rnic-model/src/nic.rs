@@ -15,9 +15,10 @@
 //! (NoC-aware) → [gather DMA for non-inline payloads] → egress scheduler
 //! (Tx class) → wire.
 //!
-//! Responder Rx: ingress link → RxPU → TPU (validate + offset-dependent
-//! lookup) → DMA (PCIe) → response generation → egress scheduler (Rx
-//! class, lower priority) → wire.
+//! Responder Rx: ingress link → RxPU (both reserved in one
+//! `IngressArrival` step) → TPU (validate + offset-dependent lookup) →
+//! DMA (PCIe) → response generation → egress scheduler (Rx class, lower
+//! priority) → wire.
 //!
 //! Requester completion: RxPU → payload DMA → CQE write (PCIe) →
 //! completion to the application.
@@ -33,7 +34,7 @@ use crate::tpu::{MrEntry, TpuAccess, TranslationUnit};
 use crate::types::{wire, FlowId, HostId, MrKey, NakReason, Opcode, PdId, QpNum, TrafficClass};
 use bytes::Bytes;
 use ragnar_telemetry::{ActorId, ArgValue, Target, Tracer};
-use sim_core::FxHashMap;
+use sim_core::{FxHashMap, FxHashSet};
 use sim_core::{LinkResource, ServiceResource, SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
@@ -197,14 +198,11 @@ pub enum NicEvent {
     },
     /// The egress port finished serializing one packet.
     EgressDone,
-    /// A packet arrived from the fabric at the ingress link.
+    /// A packet arrived from the fabric at the ingress link. Its
+    /// handler serializes it on the link and admits it to the RxPU in
+    /// one step.
     IngressArrival {
         /// The packet (held by the world's [`PacketArena`]).
-        pkt: PacketHandle,
-    },
-    /// A packet was fully received and enters the Rx pipeline.
-    RxPacket {
-        /// The packet.
         pkt: PacketHandle,
     },
     /// RxPU parsing finished.
@@ -330,7 +328,7 @@ pub struct Rnic {
     /// because its Ack was lost must not complete (or write a recv WQE)
     /// twice; replays are dropped and the last segment re-Acked. Bounded
     /// FIFO per NIC.
-    completed_inbound: std::collections::HashSet<(HostId, u64)>,
+    completed_inbound: FxHashSet<(HostId, u64)>,
     completed_inbound_order: VecDeque<(HostId, u64)>,
     /// Ambient telemetry handle captured at construction; disabled
     /// outside a tracing session (one branch per instrumentation site).
@@ -374,7 +372,7 @@ impl Rnic {
             inflight: FxHashMap::default(),
             atomic_replay: FxHashMap::default(),
             atomic_replay_order: VecDeque::new(),
-            completed_inbound: std::collections::HashSet::new(),
+            completed_inbound: FxHashSet::default(),
             completed_inbound_order: VecDeque::new(),
             profile,
             tracer: ragnar_telemetry::tracer(),
@@ -792,21 +790,17 @@ impl Rnic {
                 self.kick_egress(now, out);
             }
             NicEvent::IngressArrival { pkt } => {
-                let res = self
-                    .ingress
-                    .transmit(now, u64::from(arena.hot(pkt).wire_bytes));
-                out.push(NicAction::Schedule {
-                    at: res.end,
-                    event: NicEvent::RxPacket { pkt },
-                });
-            }
-            NicEvent::RxPacket { pkt } => {
+                // The ingress link and the RxPU are FIFO resources that
+                // only this arm reserves, and link end times rise in call
+                // order, so admitting to the RxPU at the link's end time
+                // here is what a separate event at that time would do.
                 let hot = *arena.hot(pkt);
                 let wire = u64::from(hot.wire_bytes);
+                let received = self.ingress.transmit(now, wire).end;
                 self.counters.rx_bytes += wire;
                 self.counters.rx_packets += 1;
                 self.counters.rx_bytes_per_tc[hot.tc.index()] += wire;
-                let res = self.rx_pu.reserve(now, self.profile.rx_pu_service);
+                let res = self.rx_pu.reserve(received, self.profile.rx_pu_service);
                 if self.trace_on() {
                     self.trace_stage("rx_pu", arena.get(pkt).dst_qp, res.start, res.end);
                 }
@@ -1061,12 +1055,12 @@ impl Rnic {
             Opcode::Write => (
                 PacketKind::WriteSeg,
                 segment_count(wqe.len),
-                Bytes::from(self.mem.read(wqe.local_addr, wqe.len)),
+                self.mem.read_bytes(wqe.local_addr, wqe.len),
             ),
             Opcode::Send => (
                 PacketKind::SendSeg,
                 segment_count(wqe.len),
-                Bytes::from(self.mem.read(wqe.local_addr, wqe.len)),
+                self.mem.read_bytes(wqe.local_addr, wqe.len),
             ),
             Opcode::AtomicFetchAdd | Opcode::AtomicCmpSwap => {
                 (PacketKind::AtomicReq, 1, Bytes::new())
@@ -1680,7 +1674,7 @@ impl Rnic {
             PacketKind::ReadReq => {
                 // Responder: data fetched; emit the response segments.
                 self.counters.responder_ops_per_opcode[pkt.opcode.index()] += 1;
-                let data = Bytes::from(self.mem.read(pkt.remote_addr, pkt.total_len));
+                let data = self.mem.read_bytes(pkt.remote_addr, pkt.total_len);
                 self.respond(now, &pkt, PacketKind::ReadResp, data, arena);
                 self.kick_egress(now, out);
             }

@@ -1,9 +1,10 @@
 //! Direct unit tests of the `Rnic` state machine's edge cases (the happy
 //! paths are covered end-to-end through `rdma-verbs`).
 
+use bytes::Bytes;
 use rnic_model::{
-    AccessFlags, DeviceProfile, MrEntry, MrKey, NicAction, PdId, PostError, QpConfig, QpNum,
-    RecvWqe, Rnic, TrafficClass, Wqe,
+    AccessFlags, DeviceProfile, MrEntry, MrKey, NicAction, NicEvent, Packet, PacketArena,
+    PacketKind, PdId, PostError, QpConfig, QpNum, RecvWqe, Rnic, TrafficClass, Wqe,
 };
 use rnic_model::{FlowId, HostId, Opcode};
 use sim_core::SimTime;
@@ -155,4 +156,67 @@ fn noc_activation_counter_starts_at_zero() {
     assert_eq!(n.host(), HostId(0));
     assert_eq!(n.profile().kind, rnic_model::DeviceKind::ConnectX5);
     assert_eq!(n.tpu().mr_count(), 0);
+}
+
+/// An inbound packet for the NIC under test.
+fn inbound(kind: PacketKind, payload_len: usize) -> Packet {
+    Packet {
+        src: HostId(1),
+        dst: HostId(0),
+        src_qp: QpNum(2),
+        dst_qp: QpNum(1),
+        tc: TrafficClass::new(0),
+        flow: FlowId(1),
+        kind,
+        msg_id: 1,
+        seg_idx: 0,
+        seg_cnt: 1,
+        payload: Bytes::from(vec![0u8; payload_len]),
+        opcode: Opcode::Write,
+        total_len: payload_len as u64,
+        remote_addr: 0x20_0000,
+        rkey: MrKey(9),
+        atomic_args: (0, 0),
+        local_addr: 0,
+        wqe_seq: 0,
+        wr_id: 1,
+        posted_at: SimTime::ZERO,
+    }
+}
+
+#[test]
+fn back_to_back_arrivals_reach_the_rx_pu_at_hand_computed_times() {
+    // ConnectX-5: a 100 Gb/s ingress link (80 ps per byte) and a 25 ns
+    // RxPU. A 1,024-byte write segment is 1,102 bytes on the wire
+    // (88.16 ns), an Ack 66 bytes (5.28 ns).
+    let mut n = nic();
+    let mut arena = PacketArena::new();
+    let arrivals = [
+        (0, inbound(PacketKind::WriteSeg, 1024)),
+        (0, inbound(PacketKind::Ack, 0)),
+        (0, inbound(PacketKind::Ack, 0)),
+        (1_000_000, inbound(PacketKind::Ack, 0)),
+    ];
+    let mut done = Vec::new();
+    for (at_ps, pkt) in arrivals {
+        let h = arena.insert(pkt);
+        let actions = n.handle(
+            SimTime::from_picos(at_ps),
+            NicEvent::IngressArrival { pkt: h },
+            &mut arena,
+        );
+        match actions.as_slice() {
+            [NicAction::Schedule {
+                at,
+                event: NicEvent::RxPuDone { pkt },
+            }] if *pkt == h => done.push(at.as_picos()),
+            other => panic!("expected one RxPuDone, got {other:?}"),
+        }
+    }
+    // Link ends:  88.16, 93.44, 98.72 and 1,005.28 ns.
+    // RxPU ends: the write after its link end; each Ack queues behind
+    // the RxPU rather than the link; the late Ack finds both idle.
+    assert_eq!(done, [113_160, 138_160, 163_160, 1_030_280]);
+    assert_eq!(n.counters().rx_packets, 4);
+    assert_eq!(n.counters().rx_bytes, 1102 + 3 * 66);
 }
