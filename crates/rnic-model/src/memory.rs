@@ -51,7 +51,7 @@ impl HostMemory {
             let chunk = &data[offset..offset + n];
             let dst = match self.pages.get_mut(&page) {
                 Some(p) => p,
-                None if chunk.iter().all(|&b| b == 0) => continue,
+                None if is_zero(chunk) => continue,
                 None => self
                     .pages
                     .entry(page)
@@ -94,8 +94,9 @@ impl HostMemory {
 
     /// Reads a little-endian u64 at `addr`.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let bytes = self.read(addr, 8);
-        u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+        let mut bytes = [0u8; 8];
+        self.fill(addr, &mut bytes);
+        u64::from_le_bytes(bytes)
     }
 
     /// Writes a little-endian u64 at `addr`.
@@ -125,6 +126,18 @@ impl HostMemory {
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
+}
+
+/// True if every byte of `data` is zero. Tests fixed 64-byte blocks
+/// with a branch-free OR-fold the compiler can vectorize, instead of a
+/// per-byte early-exit loop.
+fn is_zero(data: &[u8]) -> bool {
+    let blocks = data.chunks_exact(64);
+    let tail = blocks.remainder();
+    blocks
+        .into_iter()
+        .all(|b| b.iter().fold(0, |acc, &x| acc | x) == 0)
+        && tail.iter().fold(0, |acc, &x| acc | x) == 0
 }
 
 /// Splits `addr..addr + len` at page boundaries into
@@ -216,6 +229,37 @@ mod tests {
         m.write_u64(0x5000, 0);
         assert_eq!(m.resident_pages(), 1);
         assert_eq!(m.read_u64(0x5000), 0);
+    }
+
+    #[test]
+    fn one_nonzero_byte_materializes_the_page() {
+        // A 2 KiB write whose only non-zero byte sits at a block edge,
+        // inside a block, or in the last byte.
+        for at in [0usize, 63, 64, 100, 2047] {
+            let mut m = HostMemory::new();
+            let mut data = vec![0u8; 2048];
+            data[at] = 0x5A;
+            m.write(0x7000, &data);
+            assert_eq!(m.resident_pages(), 1, "non-zero byte at {at}");
+            assert_eq!(m.read(0x7000, 2048), data, "non-zero byte at {at}");
+        }
+        // A chunk shorter than one block, and one with a tail past it.
+        for len in [5usize, 70] {
+            let mut m = HostMemory::new();
+            let mut data = vec![0u8; len];
+            data[len - 1] = 1;
+            m.write(0x7000, &data);
+            assert_eq!(m.read(0x7000, len as u64), data, "length {len}");
+        }
+    }
+
+    #[test]
+    fn all_zero_write_leaves_no_page() {
+        let mut m = HostMemory::new();
+        m.write(0x7000, &[0; 2048]);
+        // Straddling a page boundary: two absent pages, both skipped.
+        m.write(2 * PAGE_SIZE - 1024, &[0; 2048]);
+        assert_eq!(m.resident_pages(), 0);
     }
 
     #[test]

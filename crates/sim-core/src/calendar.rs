@@ -17,7 +17,7 @@
 //! so steady-state schedule/pop performs **no allocation**: a cell is
 //! carved from the free list, threaded through at most one list per
 //! wheel level, and returned on pop. Events due in the bucket the cursor
-//! currently points at sit in a descending sorted vec (`current`)
+//! currently points at sit in an ascending sorted vec (`current`)
 //! ordered by exact `(timestamp, seq)`, which is what preserves the
 //! engine's same-instant FIFO guarantee bit-for-bit: the wheels only
 //! ever decide *roughly when* an event is considered, the `(at, seq)`
@@ -25,12 +25,24 @@
 //! cell stays linked wherever it is and is reclaimed when the queue next
 //! touches it.
 //!
+//! A peek moves the cursor to the earliest pending event's bucket
+//! without moving the clock, so after [`CalendarQueue::pop_before`]
+//! stops at a deadline the cursor can sit ahead of the clock. The next
+//! schedule below the cursor **rewinds** it: the cursor goes back to
+//! the clock's bucket and every wheel cell and current-bucket entry is
+//! filed again against it (the overflow heap, already beyond the
+//! horizon, stays). That costs O(pending) once per deadline stop that
+//! an earlier schedule follows, and keeps the invariant that `current`
+//! only ever holds events of the cursor's own bucket.
+//!
 //! Amortized cost is O(1) per schedule/pop: each cell descends through
-//! at most two cascades before reaching the current-bucket heap, whose
-//! size is bounded by the events sharing one bucket (a few, at
-//! simulation densities). The [`ReferenceQueue`](crate::ReferenceQueue)
-//! ordering oracle and the differential property suite
-//! (`tests/differential.rs`) pin the equivalence.
+//! at most two cascades before reaching the current bucket, whose size
+//! is bounded by the events sharing one bucket (a few, at simulation
+//! densities). `pop_before` refills once, discards cancelled heads,
+//! compares the head with the deadline and takes it in the same pass.
+//! The [`ReferenceQueue`](crate::ReferenceQueue) ordering oracle and
+//! the differential property suite (`tests/differential.rs`) pin the
+//! equivalence.
 //!
 //! # Examples
 //!
@@ -114,10 +126,14 @@ impl PartialOrd for HeapEntry {
 /// common insert shifts only a handful of entries. This beats a binary heap on both ends: no cache-hostile
 /// sift-down per pop, and a wheel-bucket refill sorts the batch once
 /// instead of paying n heap pushes.
+///
+/// Every entry shares the cursor's tick (the queue rewinds the cursor
+/// rather than file an event below it), so the vec never outgrows the
+/// largest population of a single bucket.
 #[derive(Debug, Default)]
 struct CurrentBucket {
     /// Ascending from `head`; `[..head]` is already-popped garbage,
-    /// reclaimed when the bucket empties or resorts.
+    /// reclaimed when the bucket empties.
     entries: Vec<HeapEntry>,
     head: usize,
 }
@@ -160,12 +176,14 @@ impl CurrentBucket {
         self.entries.push(e);
     }
 
-    /// Restores the ascending invariant after a batch of appends,
-    /// dropping the popped prefix.
+    /// Restores the ascending invariant after a batch of appends. A
+    /// refill only appends to an emptied bucket, so there is no popped
+    /// prefix to drop.
     fn resort(&mut self) {
-        self.entries.drain(..self.head);
-        self.head = 0;
-        self.entries.sort_unstable();
+        debug_assert_eq!(self.head, 0, "appended behind a popped prefix");
+        if self.entries.len() > 1 {
+            self.entries.sort_unstable();
+        }
     }
 
     fn clear(&mut self) {
@@ -184,15 +202,15 @@ pub struct CalendarQueue<E> {
     /// Bucket width is `1 << shift` picoseconds.
     shift: u32,
     /// Tick whose bucket has been drained into `current`; all wheel
-    /// cells have a strictly later tick, all `current` cells an equal or
-    /// earlier one.
+    /// cells have a strictly later tick, all `current` cells this one.
+    /// A peek may leave it ahead of the clock's tick; a schedule below
+    /// it rewinds it (see [`Self::rewind`]).
     cursor: u64,
     /// Intrusive list heads, `level * SLOTS + slot`.
     wheels: Vec<u32>,
     /// Cells resident per level (cancelled cells included).
     level_count: [usize; 3],
-    /// Events due at or before the cursor tick, in exact `(at, seq)`
-    /// order (earliest at the tail).
+    /// Events due in the cursor tick, in exact `(at, seq)` order.
     current: CurrentBucket,
     /// Events beyond the wheel horizon.
     overflow: BinaryHeap<Reverse<HeapEntry>>,
@@ -311,6 +329,10 @@ impl<E> CalendarQueue<E> {
         // would silently break same-instant FIFO, so debug builds assert.
         self.seq = self.seq.wrapping_add(1);
         debug_assert!(self.seq != 0, "event seq counter wrapped");
+        let tick = at.as_picos() >> self.shift;
+        if tick < self.cursor {
+            self.rewind();
+        }
         let slot = self.alloc(at, seq, event);
         self.place(slot, at.as_picos(), seq);
         self.live += 1;
@@ -356,11 +378,34 @@ impl<E> CalendarQueue<E> {
 
     /// Removes and returns the earliest event only if it fires at or
     /// before `deadline`.
+    ///
+    /// One pass: a single refill, cancelled heads freed on the way, one
+    /// slab access for the deadline test and the take.
+    /// [`Phase::QueuePop`] bills the take alone (not the refill, a
+    /// cancelled head or a deadline stop), so its calls count the events
+    /// popped.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop()
-        } else {
-            None
+        loop {
+            self.refill();
+            let entry = self.current.peek()?;
+            let cell = &mut self.slab[entry.slot as usize];
+            debug_assert_eq!(cell.seq, entry.seq, "current entry aliases a recycled cell");
+            if cell.event.is_none() {
+                // Cancelled after entering the current bucket.
+                self.current.pop();
+                self.free(entry.slot);
+                continue;
+            }
+            if cell.at > deadline {
+                return None;
+            }
+            let _p = profile::enter(Phase::QueuePop);
+            let at = cell.at;
+            let event = cell.event.take().expect("checked live");
+            self.current.pop();
+            self.free(entry.slot);
+            self.fire(at);
+            return Some((at, event));
         }
     }
 
@@ -373,20 +418,26 @@ impl<E> CalendarQueue<E> {
             let entry = self.current.pop()?;
             let cell = &mut self.slab[entry.slot as usize];
             debug_assert_eq!(cell.seq, entry.seq, "current entry aliases a recycled cell");
-            let Some(event) = cell.event.take() else {
-                // Cancelled after entering the current bucket.
-                self.free(entry.slot);
-                continue;
-            };
             let at = cell.at;
+            let event = cell.event.take();
             self.free(entry.slot);
-            self.live -= 1;
-            debug_assert!(at >= self.now, "event queue time went backwards");
-            self.now = at;
-            self.popped += 1;
-            self.sample_depth(self.popped);
-            return Some((at, entry.seq, event));
+            // A `None` was cancelled after entering the current bucket.
+            if let Some(event) = event {
+                self.fire(at);
+                return Some((at, entry.seq, event));
+            }
         }
+    }
+
+    /// Books one taken event at `at`: the live count, the clock, the
+    /// pop counter and the depth sample.
+    #[inline]
+    fn fire(&mut self, at: SimTime) {
+        self.live -= 1;
+        debug_assert!(at >= self.now, "event queue time went backwards");
+        self.now = at;
+        self.popped += 1;
+        self.sample_depth(self.popped);
     }
 
     /// Drops all pending events without touching the clock.
@@ -438,12 +489,14 @@ impl<E> CalendarQueue<E> {
 
     // ---- wheel plumbing ----
 
-    /// Files a cell by its tick relative to the cursor: due cells go to
-    /// the `current` heap, near cells to the finest wheel that can hold
-    /// them, far cells to the overflow heap.
+    /// Files a cell by its tick relative to the cursor: a cell at the
+    /// cursor's own tick joins `current`, a later one the finest wheel
+    /// that can hold it, a far one the overflow heap. A tick below the
+    /// cursor never reaches here: [`Self::schedule`] rewinds first.
     fn place(&mut self, slot: u32, at_ps: u64, seq: u64) {
         let tick = at_ps >> self.shift;
         if tick <= self.cursor {
+            debug_assert_eq!(tick, self.cursor, "event filed below the cursor");
             self.current.insert(HeapEntry { at_ps, seq, slot });
             return;
         }
@@ -462,6 +515,51 @@ impl<E> CalendarQueue<E> {
         self.slab[slot as usize].next = self.wheels[head];
         self.wheels[head] = slot;
         self.level_count[level] += 1;
+    }
+
+    /// Moves the cursor back to the clock's tick and files every
+    /// wheel cell and current-bucket entry again against it. Every
+    /// pending event lies at or after the clock, so the filing is exact;
+    /// the overflow heap's events are still beyond the horizon and stay.
+    /// Called when a schedule lands below a cursor that a peek moved
+    /// ahead of the clock.
+    #[cold]
+    fn rewind(&mut self) {
+        let to = self.now.as_picos() >> self.shift;
+        debug_assert!(to < self.cursor, "rewind must move the cursor back");
+        // Unlink every wheel list and the current bucket into one chain
+        // before re-filing, so a re-filed cell is never walked twice.
+        let mut chain = NIL;
+        for head in &mut self.wheels {
+            let mut cur = std::mem::replace(head, NIL);
+            while cur != NIL {
+                let next = std::mem::replace(&mut self.slab[cur as usize].next, chain);
+                chain = cur;
+                cur = next;
+            }
+        }
+        for e in &self.current.entries[self.current.head..] {
+            self.slab[e.slot as usize].next = chain;
+            chain = e.slot;
+        }
+        self.current.clear();
+        self.level_count = [0; 3];
+        self.cursor = to;
+        while chain != NIL {
+            let cell = &self.slab[chain as usize];
+            let (next, at_ps, seq, live) = (
+                cell.next,
+                cell.at.as_picos(),
+                cell.seq,
+                cell.event.is_some(),
+            );
+            if live {
+                self.place(chain, at_ps, seq);
+            } else {
+                self.free(chain);
+            }
+            chain = next;
+        }
     }
 
     /// Moves the level-0 bucket at `idx` (the cursor's bucket) into the
@@ -616,6 +714,9 @@ impl<E> EventSchedule<E> for CalendarQueue<E> {
     }
     fn pop(&mut self) -> Option<(SimTime, E)> {
         CalendarQueue::pop(self)
+    }
+    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        CalendarQueue::pop_before(self, deadline)
     }
     fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
         CalendarQueue::pop_with_seq(self)
@@ -782,5 +883,54 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 2001);
+    }
+
+    #[test]
+    fn deadline_stop_does_not_leave_the_cursor_ahead_of_the_clock() {
+        // A pop_before that stops at its deadline peeks the far event
+        // and moves the cursor to its bucket. Events scheduled below
+        // that cursor must rewind it, not pile into the current bucket.
+        let mut q = CalendarQueue::new();
+        let mut r = crate::ReferenceQueue::new();
+        let far = SimTime::from_micros(100);
+        q.schedule(far, u64::MAX);
+        r.schedule(far, u64::MAX);
+        let stop = SimTime::from_micros(10);
+        assert_eq!(q.pop_before(stop), None);
+        assert_eq!(r.pop_before(stop), None);
+        // A closed loop below the old cursor: 256 outstanding, each pop
+        // followed by one schedule up to 1 µs ahead, about 1,000 events.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |now: SimTime| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            SimTime::from_picos(now.as_picos() + x % 1_000_000)
+        };
+        for i in 0..256u64 {
+            let at = next(q.now());
+            q.schedule(at, i);
+            r.schedule(at, i);
+        }
+        for i in 256..1_024u64 {
+            let popped = q.pop_before(far);
+            assert_eq!(popped, r.pop_before(far), "pop {i}");
+            assert!(popped.is_some_and(|(at, _)| at < far));
+            let at = next(q.now());
+            q.schedule(at, i);
+            r.schedule(at, i);
+        }
+        loop {
+            let (a, b) = (q.pop(), r.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(
+            q.current.entries.capacity() <= 64,
+            "current bucket grew to {} entries",
+            q.current.entries.capacity()
+        );
     }
 }

@@ -167,6 +167,69 @@ fn deterministic_rollover_and_cancel_torture() {
     }
 }
 
+/// A deadline stop moves the calendar's cursor to the next pending
+/// event without moving the clock; a closed loop of about 1,000 events
+/// below that cursor must then pop in the reference order. Repeated
+/// over several stops, each followed by cancels of pending events.
+#[test]
+fn schedules_below_a_stopped_cursor_match_reference() {
+    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+    let mut refq: ReferenceQueue<u64> = ReferenceQueue::new();
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut rand = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut id = 0u64;
+    for stop in 0..4u64 {
+        let base = cal.now().as_picos();
+        // The far event sits in level 1, level 2 or the overflow heap.
+        let far = SimTime::from_picos(base + (BUCKET_PS << (10 + 7 * (stop % 3))));
+        cal.schedule(far, id);
+        refq.schedule(far, id);
+        id += 1;
+        let deadline = SimTime::from_picos(base + BUCKET_PS * 100);
+        assert_eq!(cal.pop_before(deadline), refq.pop_before(deadline));
+        let mut handles = Vec::new();
+        for i in 0..1_000u64 {
+            let at = SimTime::from_picos(cal.now().as_picos() + rand() % (BUCKET_PS * 300));
+            handles.push((cal.schedule(at, id), refq.schedule(at, id)));
+            id += 1;
+            if i % 4 == 3 {
+                assert_eq!(
+                    cal.pop_before(far),
+                    refq.pop_before(far),
+                    "stop {stop} pop {i}"
+                );
+            }
+            if i % 11 == 0 {
+                let (hc, hr) = handles[rand() as usize % handles.len()];
+                assert_eq!(cal.cancel(hc), refq.cancel(hr), "stop {stop} cancel {i}");
+            }
+            assert_eq!(cal.len(), refq.len());
+        }
+        // Drain everything below the far event, then leave it pending
+        // for the next stop's deadline to peek again.
+        loop {
+            let (a, b) = (cal.pop_before(far), refq.pop_before(far));
+            assert_eq!(a, b, "stop {stop} drain");
+            if a.is_none() || cal.peek_time() == Some(far) {
+                break;
+            }
+        }
+    }
+    loop {
+        let (a, b) = (cal.pop(), refq.pop());
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
+    }
+    assert_eq!(cal.events_processed(), refq.events_processed());
+}
+
 /// `clear` resets both backends to an equivalent state and stale
 /// handles remain stale on both.
 #[test]
